@@ -12,11 +12,19 @@
 //     recomputing them, the mirror is pure overhead);
 //   * warm-starting from the optimal basis takes no more pivots than cold;
 //   * the branchless ratio-test kernel is within 10% of the branchy one
-//     (full size only — wall-clock gates flake on an oversubscribed box).
+//     (full size only — wall-clock gates flake on an oversubscribed box);
+//   * every captured basis refactorizes, and FTRAN of ~64 sampled basic
+//     columns gives back their unit vectors.
+//
+// The LU section times the basis kernels alone — factorizations/s and
+// FTRAN/BTRAN calls/s — on the optimal bases of the Phase I LP (the
+// bench's topology) and of an FBsynth ARROW solve. It reports throughput
+// only; there is no wall-clock gate.
 //
 // Environment knobs: ARROW_BENCH_FAST=1 shrinks to the B4 topology for
 // CI-speed runs (bench-smoke). Results land in BENCH_simplex.json
 // (bench_json.h).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +34,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "solver/basis.h"
 #include "solver/lp.h"
 #include "te/arrow.h"
 #include "te/basic.h"
@@ -102,6 +111,146 @@ double time_kernel(Fn fn, const std::vector<double>& col,
     if (dt < best) best = dt;
   }
   return best;
+}
+
+// --- LU kernel: bases captured from real solves ---------------------------
+
+struct CapturedBasis {
+  solver::SparseMatrix a;
+  std::vector<int> positions;  // basis position -> column of a
+};
+
+// Runs `solve` under a solve observer and keeps the optimal basis of every
+// LP it hands the simplex.
+template <typename Fn>
+std::vector<CapturedBasis> capture_bases(Fn solve) {
+  std::vector<CapturedBasis> bases;
+  solver::ScopedSolveObserver capture([&](const Lp& lp, LpSolution& sol) {
+    if (sol.status != LpStatus::kOptimal ||
+        sol.basis.num_basic() != lp.a.rows) {
+      return;
+    }
+    CapturedBasis& b = bases.emplace_back();
+    b.a = lp.a;
+    for (int j = 0; j < lp.a.cols; ++j) {
+      if (sol.basis.status[static_cast<std::size_t>(j)] ==
+          solver::BasisStatus::kBasic) {
+        b.positions.push_back(j);
+      }
+    }
+  });
+  solve();
+  return bases;
+}
+
+std::vector<double> column_of(const solver::SparseMatrix& a, int j) {
+  std::vector<double> v(static_cast<std::size_t>(a.rows), 0.0);
+  for (int k = a.col_start[static_cast<std::size_t>(j)];
+       k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+    v[static_cast<std::size_t>(a.row_index[static_cast<std::size_t>(k)])] =
+        a.value[static_cast<std::size_t>(k)];
+  }
+  return v;
+}
+
+// Factorizations/s and FTRAN/BTRAN calls/s over one corpus of bases, best of
+// three passes. FTRAN inputs are the LP's columns in turn (entering columns
+// in the simplex), BTRAN inputs unit vectors (the simplex's pivot-row solve).
+// Returns false if a basis fails to factorize or FTRAN of a sampled basic
+// column misses its unit vector.
+bool lu_section(const char* name, const std::vector<CapturedBasis>& bases,
+                int solves_per_basis, bench::BenchJson& out) {
+  bool ok = true;
+  long long rows = 0, factor_nnz = 0;
+  for (const CapturedBasis& b : bases) {
+    rows += b.a.rows;
+    solver::LuBasis lu;
+    if (!lu.factorize(b.a, b.positions, SimplexOptions{}.pivot_tol)) {
+      std::fprintf(stderr, "FAIL: %s basis (%d rows) did not refactorize\n",
+                   name, b.a.rows);
+      ok = false;
+      continue;
+    }
+    factor_nnz += static_cast<long long>(lu.factor_nnz());
+    double worst = 0.0;
+    for (int p = 0; p < b.a.rows; p += 1 + b.a.rows / 64) {
+      std::vector<double> x =
+          column_of(b.a, b.positions[static_cast<std::size_t>(p)]);
+      lu.ftran(x);
+      for (int q = 0; q < b.a.rows; ++q) {
+        const double want = q == p ? 1.0 : 0.0;
+        worst = std::max(worst,
+                         std::abs(x[static_cast<std::size_t>(q)] - want));
+      }
+    }
+    if (worst > 1e-7) {
+      std::fprintf(stderr, "FAIL: %s basis FTRAN of a basic column is off "
+                   "its unit vector by %.3g\n", name, worst);
+      ok = false;
+    }
+  }
+  if (!ok) return false;
+
+  const int reps = 5;
+  double factor_s = 1e300, ftran_s = 1e300, btran_s = 1e300;
+  double checksum = 0.0;
+  long long factorizations = 0, ftrans = 0, btrans = 0;
+  for (int trial = 0; trial < 3; ++trial) {
+    solver::LuBasis lu;
+    double f = 0.0, ft = 0.0, bt = 0.0;
+    long long nf = 0, nft = 0, nbt = 0;
+    for (const CapturedBasis& b : bases) {
+      const double t0 = now_s();
+      for (int r = 0; r < reps; ++r) {
+        lu.factorize(b.a, b.positions, SimplexOptions{}.pivot_tol);
+      }
+      f += now_s() - t0;
+      nf += reps;
+      std::vector<std::vector<double>> inputs;
+      for (int k = 0; k < solves_per_basis; ++k) {
+        inputs.push_back(column_of(b.a, (k * 7919) % b.a.cols));
+      }
+      std::vector<double> x;
+      const double t1 = now_s();
+      for (const auto& in : inputs) {
+        x = in;
+        lu.ftran(x);
+        checksum += x[0];
+      }
+      ft += now_s() - t1;
+      nft += solves_per_basis;
+      const double t2 = now_s();
+      for (int k = 0; k < solves_per_basis; ++k) {
+        x.assign(static_cast<std::size_t>(b.a.rows), 0.0);
+        x[static_cast<std::size_t>((k * 104729) % b.a.rows)] = 1.0;
+        lu.btran(x);
+        checksum += x[0];
+      }
+      bt += now_s() - t2;
+      nbt += solves_per_basis;
+    }
+    factor_s = std::min(factor_s, f);
+    ftran_s = std::min(ftran_s, ft);
+    btran_s = std::min(btran_s, bt);
+    factorizations = nf;
+    ftrans = nft;
+    btrans = nbt;
+  }
+  const double fps = factor_s > 0.0 ? factorizations / factor_s : 0.0;
+  const double ftps = ftran_s > 0.0 ? ftrans / ftran_s : 0.0;
+  const double btps = btran_s > 0.0 ? btrans / btran_s : 0.0;
+  const std::string k = std::string("lu_") + name;
+  out.set(k + "_bases", static_cast<long long>(bases.size()));
+  out.set(k + "_rows", rows);
+  out.set(k + "_factor_nnz", factor_nnz);
+  out.set(k + "_factorizations_per_sec", fps);
+  out.set(k + "_ftran_per_sec", ftps);
+  out.set(k + "_btran_per_sec", btps);
+  std::printf("LU %-8s %zu bases, %lld rows, %lld factor nnz: %8.1f "
+              "factorizations/sec, %9.0f ftran/sec, %9.0f btran/sec "
+              "(checksum %.3g)\n", name, bases.size(), rows, factor_nnz, fps,
+              ftps, btps, checksum);
+  return true;
 }
 
 }  // namespace
@@ -264,6 +413,44 @@ int main() {
                  "pivots than cold (%lld vs %lld)\n", warm_pivots,
                  cold_pivots);
     ok = false;
+  }
+
+  // --- LU kernel ----------------------------------------------------------
+  {
+    const auto phase1_bases = capture_bases([&] {
+      util::ThreadPool pool(1);
+      if (!te::solve_phase1(input, prepared, params, pool).optimal) {
+        std::fprintf(stderr, "FAIL: Phase I solve did not reach optimal\n");
+        ok = false;
+      }
+    });
+    const topo::Network fb = topo::build_fbsynth();
+    util::Rng fb_rng(99);
+    traffic::TrafficParams fb_tp;
+    fb_tp.num_matrices = 1;
+    const auto fb_ms = traffic::generate_traffic(fb, fb_tp, fb_rng);
+    scenario::ScenarioParams fb_sp;
+    fb_sp.probability_cutoff = 0.002;
+    auto fb_scen = scenario::generate_scenarios(fb, fb_sp, fb_rng);
+    te::TunnelParams fb_tun;
+    fb_tun.tunnels_per_flow = fast_mode ? 4 : 6;
+    te::TeInput fb_input(fb, fb_ms[0],
+                         scenario::remove_disconnecting(fb, fb_scen.scenarios),
+                         fb_tun);
+    fb_input.scale_demands(te::max_satisfiable_scale(fb_input) * 0.6);
+    te::ArrowParams fb_params;
+    fb_params.tickets.num_tickets = 1;
+    const auto fb_prepared = te::prepare_arrow(fb_input, fb_params, fb_rng);
+    const auto fbsynth_bases = capture_bases([&] {
+      if (!te::solve_arrow(fb_input, fb_prepared, fb_params).optimal) {
+        std::fprintf(stderr, "FAIL: FBsynth solve_arrow did not reach "
+                     "optimal\n");
+        ok = false;
+      }
+    });
+    const int solves = fast_mode ? 50 : 200;
+    ok = lu_section("phase1", phase1_bases, solves, out) && ok;
+    ok = lu_section("fbsynth", fbsynth_bases, solves, out) && ok;
   }
 
   // --- SIMD microkernel gate -----------------------------------------------

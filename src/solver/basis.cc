@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/check.h"
 
@@ -12,66 +13,89 @@ constexpr double kDropTol = 1e-12;
 // Relative threshold for partial pivoting inside the Markowitz search: a
 // pivot must be at least this fraction of the column's largest entry.
 constexpr double kRelPivot = 0.05;
+
+// Pivot-queue key. Counts 0 and 1 share a key so that the first column in
+// index order with at most one entry wins, exactly like the column scan it
+// replaces (which stopped at the first such column).
+std::uint64_t column_key(int nnz, int col) {
+  return (static_cast<std::uint64_t>(std::max(nnz, 1)) << 32) |
+         static_cast<std::uint32_t>(col);
+}
 }  // namespace
 
-bool LuBasis::factorize(int m, const std::vector<Column>& columns,
+bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
                         double pivot_tol) {
-  ARROW_CHECK(static_cast<int>(columns.size()) == m, "basis size mismatch");
+  const int m = static_cast<int>(cols.size());
+  ARROW_CHECK(a.rows == m, "basis size mismatch");
+  const auto um = static_cast<std::size_t>(m);
   m_ = m;
-  pivot_row_.assign(static_cast<std::size_t>(m), -1);
-  pivot_col_.assign(static_cast<std::size_t>(m), -1);
-  diag_.assign(static_cast<std::size_t>(m), 0.0);
-  l_cols_.assign(static_cast<std::size_t>(m), {});
-  u_rows_.assign(static_cast<std::size_t>(m), {});
+  pivot_row_.assign(um, -1);
+  pivot_col_.assign(um, -1);
+  diag_.assign(um, 0.0);
+  l_start_.assign(1, 0);
+  l_row_.clear();
+  l_val_.clear();
+  u_start_.assign(1, 0);
+  u_col_.clear();
+  u_val_.clear();
   etas_.clear();
   eta_pos_.clear();
   eta_val_.clear();
   lu_nnz_ = 0;
   eta_nnz_ = 0;
 
-  // Working matrix, column-wise; entries may go stale when rows deactivate
-  // (filtered on read). Rebuilt per touched column during updates.
-  std::vector<Column> w(columns);
-  std::vector<std::vector<int>> rows_cols(static_cast<std::size_t>(m));
-  std::vector<int> col_nnz(static_cast<std::size_t>(m), 0);
-  std::vector<int> row_nnz(static_cast<std::size_t>(m), 0);
-  std::vector<char> row_active(static_cast<std::size_t>(m), 1);
-  std::vector<char> col_active(static_cast<std::size_t>(m), 1);
-  for (int j = 0; j < m; ++j) {
-    col_nnz[static_cast<std::size_t>(j)] =
-        static_cast<int>(w[static_cast<std::size_t>(j)].size());
-    for (const auto& [r, v] : w[static_cast<std::size_t>(j)]) {
-      (void)v;
-      rows_cols[static_cast<std::size_t>(r)].push_back(j);
-      ++row_nnz[static_cast<std::size_t>(r)];
+  Workspace& ws = work_;
+  ws.cols.resize(um);
+  ws.rows_cols.resize(um);
+  for (auto& rc : ws.rows_cols) rc.clear();
+  ws.col_nnz.assign(um, 0);
+  ws.row_nnz.assign(um, 0);
+  ws.row_active.assign(um, 1);
+  ws.col_active.assign(um, 1);
+  ws.acc.assign(um, 0.0);
+  ws.in_acc.assign(um, 0);
+  ws.queue.clear();
+  for (int p = 0; p < m; ++p) {
+    const int j = cols[static_cast<std::size_t>(p)];
+    auto& col = ws.cols[static_cast<std::size_t>(p)];
+    col.clear();
+    for (int k = a.col_start[static_cast<std::size_t>(j)];
+         k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+      const int r = a.row_index[static_cast<std::size_t>(k)];
+      col.emplace_back(r, a.value[static_cast<std::size_t>(k)]);
+      ws.rows_cols[static_cast<std::size_t>(r)].push_back(p);
+      ++ws.row_nnz[static_cast<std::size_t>(r)];
     }
+    ws.col_nnz[static_cast<std::size_t>(p)] = static_cast<int>(col.size());
+    ws.queue.push_back(column_key(static_cast<int>(col.size()), p));
   }
-
-  std::vector<double> acc(static_cast<std::size_t>(m), 0.0);
-  std::vector<char> in_acc(static_cast<std::size_t>(m), 0);
-  std::vector<int> acc_rows;
-  acc_rows.reserve(static_cast<std::size_t>(m));
+  const auto later = std::greater<std::uint64_t>();
+  std::make_heap(ws.queue.begin(), ws.queue.end(), later);
 
   for (int step = 0; step < m; ++step) {
     // --- pivot column: smallest active column count -----------------------
+    // Every active column has a queue entry carrying its current key; an
+    // entry whose column was pivoted or whose count moved on is stale.
     int c = -1;
-    int best_nnz = m + 1;
-    for (int j = 0; j < m; ++j) {
-      if (col_active[static_cast<std::size_t>(j)] &&
-          col_nnz[static_cast<std::size_t>(j)] < best_nnz) {
-        best_nnz = col_nnz[static_cast<std::size_t>(j)];
+    while (!ws.queue.empty()) {
+      std::pop_heap(ws.queue.begin(), ws.queue.end(), later);
+      const std::uint64_t key = ws.queue.back();
+      ws.queue.pop_back();
+      const int j = static_cast<int>(key & 0xffffffffu);
+      if (ws.col_active[static_cast<std::size_t>(j)] &&
+          key == column_key(ws.col_nnz[static_cast<std::size_t>(j)], j)) {
         c = j;
-        if (best_nnz <= 1) break;
+        break;
       }
     }
     if (c < 0) return false;
 
     // Gather active entries of column c.
-    Column live;
+    ws.live.clear();
     double colmax = 0.0;
-    for (const auto& [r, v] : w[static_cast<std::size_t>(c)]) {
-      if (row_active[static_cast<std::size_t>(r)]) {
-        live.emplace_back(r, v);
+    for (const auto& [r, v] : ws.cols[static_cast<std::size_t>(c)]) {
+      if (ws.row_active[static_cast<std::size_t>(r)]) {
+        ws.live.emplace_back(r, v);
         colmax = std::max(colmax, std::abs(v));
       }
     }
@@ -82,10 +106,10 @@ bool LuBasis::factorize(int m, const std::vector<Column>& columns,
     int r = -1;
     int best_row_nnz = m + 1;
     double d = 0.0;
-    for (const auto& [ri, v] : live) {
+    for (const auto& [ri, v] : ws.live) {
       if (std::abs(v) < threshold) continue;
-      if (row_nnz[static_cast<std::size_t>(ri)] < best_row_nnz) {
-        best_row_nnz = row_nnz[static_cast<std::size_t>(ri)];
+      if (ws.row_nnz[static_cast<std::size_t>(ri)] < best_row_nnz) {
+        best_row_nnz = ws.row_nnz[static_cast<std::size_t>(ri)];
         r = ri;
         d = v;
       }
@@ -96,29 +120,37 @@ bool LuBasis::factorize(int m, const std::vector<Column>& columns,
     pivot_col_[static_cast<std::size_t>(step)] = c;
     diag_[static_cast<std::size_t>(step)] = d;
 
-    auto& lcol = l_cols_[static_cast<std::size_t>(step)];
-    for (const auto& [ri, v] : live) {
+    const std::size_t l_begin = l_row_.size();
+    for (const auto& [ri, v] : ws.live) {
       if (ri != r && std::abs(v) > kDropTol) {
-        lcol.emplace_back(ri, v / d);
+        l_row_.push_back(ri);
+        l_val_.push_back(v / d);
       }
     }
-    lu_nnz_ += lcol.size() + 1;
+    const std::size_t l_end = l_row_.size();
+    l_start_.push_back(static_cast<int>(l_end));
+    lu_nnz_ += l_end - l_begin + 1;
 
-    // Deactivate pivot row/column before the updates so rebuilds drop them.
-    row_active[static_cast<std::size_t>(r)] = 0;
-    col_active[static_cast<std::size_t>(c)] = 0;
-    for (const auto& [ri, v] : live) {
+    // Deactivate pivot row/column before the updates so rewrites drop them.
+    ws.row_active[static_cast<std::size_t>(r)] = 0;
+    ws.col_active[static_cast<std::size_t>(c)] = 0;
+    for (const auto& [ri, v] : ws.live) {
       (void)v;
-      if (row_active[static_cast<std::size_t>(ri)]) {
-        --row_nnz[static_cast<std::size_t>(ri)];
+      if (ws.row_active[static_cast<std::size_t>(ri)]) {
+        --ws.row_nnz[static_cast<std::size_t>(ri)];
       }
     }
 
     // --- eliminate: update every active column containing pivot row r -----
-    auto& urow = u_rows_[static_cast<std::size_t>(step)];
-    for (int cj : rows_cols[static_cast<std::size_t>(r)]) {
-      if (!col_active[static_cast<std::size_t>(cj)]) continue;
-      auto& col = w[static_cast<std::size_t>(cj)];
+    // rows_cols[r] may list a column twice: a fill entry that cancelled
+    // leaves its column in the row's list, and a later refill pushes it
+    // again. The second visit is a no-op because the first one removed row
+    // r from the column, so the U row and every count come out the same as
+    // with a duplicate-free list.
+    const std::size_t u_begin = u_col_.size();
+    for (int cj : ws.rows_cols[static_cast<std::size_t>(r)]) {
+      if (!ws.col_active[static_cast<std::size_t>(cj)]) continue;
+      auto& col = ws.cols[static_cast<std::size_t>(cj)];
       double u = 0.0;
       bool found = false;
       for (const auto& [ri, v] : col) {
@@ -129,42 +161,67 @@ bool LuBasis::factorize(int m, const std::vector<Column>& columns,
         }
       }
       if (!found || std::abs(u) <= kDropTol) continue;
-      urow.emplace_back(cj, u);
+      u_col_.push_back(cj);
+      u_val_.push_back(u);
 
-      // col := col - u * lcol, rebuilt through a dense accumulator.
-      acc_rows.clear();
-      for (const auto& [ri, v] : col) {
-        if (!row_active[static_cast<std::size_t>(ri)]) continue;
-        acc[static_cast<std::size_t>(ri)] = v;
-        in_acc[static_cast<std::size_t>(ri)] = 1;
-        acc_rows.push_back(ri);
-      }
-      for (const auto& [ri, l] : lcol) {
-        if (!row_active[static_cast<std::size_t>(ri)]) continue;
-        if (!in_acc[static_cast<std::size_t>(ri)]) {
-          acc[static_cast<std::size_t>(ri)] = 0.0;
-          in_acc[static_cast<std::size_t>(ri)] = 1;
-          acc_rows.push_back(ri);
-          rows_cols[static_cast<std::size_t>(ri)].push_back(cj);  // fill-in
-          ++row_nnz[static_cast<std::size_t>(ri)];
+      const int old_nnz = ws.col_nnz[static_cast<std::size_t>(cj)];
+      if (l_begin == l_end) {
+        // Singleton step (no multipliers): the column keeps its values and
+        // order and only loses deactivated rows (r among them) and
+        // below-tolerance input entries — filtered in place.
+        std::size_t kept = 0;
+        for (const auto& e : col) {
+          if (!ws.row_active[static_cast<std::size_t>(e.first)]) continue;
+          if (std::abs(e.second) > kDropTol) {
+            col[kept++] = e;
+          } else {
+            --ws.row_nnz[static_cast<std::size_t>(e.first)];
+          }
         }
-        acc[static_cast<std::size_t>(ri)] -= l * u;
-      }
-      Column rebuilt;
-      rebuilt.reserve(acc_rows.size());
-      for (int ri : acc_rows) {
-        const double v = acc[static_cast<std::size_t>(ri)];
-        if (std::abs(v) > kDropTol) {
-          rebuilt.emplace_back(ri, v);
-        } else {
-          --row_nnz[static_cast<std::size_t>(ri)];  // cancellation
+        col.resize(kept);
+      } else {
+        // col := col - u * lcol, rebuilt through a dense accumulator:
+        // surviving entries in column order, then fill in L order.
+        ws.acc_rows.clear();
+        for (const auto& [ri, v] : col) {
+          if (!ws.row_active[static_cast<std::size_t>(ri)]) continue;
+          ws.acc[static_cast<std::size_t>(ri)] = v;
+          ws.in_acc[static_cast<std::size_t>(ri)] = 1;
+          ws.acc_rows.push_back(ri);
         }
-        in_acc[static_cast<std::size_t>(ri)] = 0;
+        for (std::size_t e = l_begin; e < l_end; ++e) {
+          const int ri = l_row_[e];
+          const double l = l_val_[e];
+          if (!ws.in_acc[static_cast<std::size_t>(ri)]) {
+            ws.acc[static_cast<std::size_t>(ri)] = 0.0;
+            ws.in_acc[static_cast<std::size_t>(ri)] = 1;
+            ws.acc_rows.push_back(ri);
+            ws.rows_cols[static_cast<std::size_t>(ri)].push_back(cj);  // fill
+            ++ws.row_nnz[static_cast<std::size_t>(ri)];
+          }
+          ws.acc[static_cast<std::size_t>(ri)] -= l * u;
+        }
+        ws.rebuilt.clear();
+        for (int ri : ws.acc_rows) {
+          const double v = ws.acc[static_cast<std::size_t>(ri)];
+          if (std::abs(v) > kDropTol) {
+            ws.rebuilt.emplace_back(ri, v);
+          } else {
+            --ws.row_nnz[static_cast<std::size_t>(ri)];  // cancellation
+          }
+          ws.in_acc[static_cast<std::size_t>(ri)] = 0;
+        }
+        col.swap(ws.rebuilt);
       }
-      col_nnz[static_cast<std::size_t>(cj)] = static_cast<int>(rebuilt.size());
-      col.swap(rebuilt);
+      const int new_nnz = static_cast<int>(col.size());
+      ws.col_nnz[static_cast<std::size_t>(cj)] = new_nnz;
+      if (column_key(new_nnz, cj) != column_key(old_nnz, cj)) {
+        ws.queue.push_back(column_key(new_nnz, cj));
+        std::push_heap(ws.queue.begin(), ws.queue.end(), later);
+      }
     }
-    lu_nnz_ += urow.size();
+    u_start_.push_back(static_cast<int>(u_col_.size()));
+    lu_nnz_ += u_col_.size() - u_begin;
   }
   return true;
 }
@@ -191,22 +248,29 @@ void LuBasis::apply_eta_transposed(const Eta& eta,
   z[static_cast<std::size_t>(eta.pivot_pos)] = s;
 }
 
-void LuBasis::ftran(std::vector<double>& x) const {
+void LuBasis::ftran(std::vector<double>& x) {
   ARROW_CHECK(static_cast<int>(x.size()) == m_, "ftran size mismatch");
   // L pass in elimination order (row space).
   for (int k = 0; k < m_; ++k) {
     const double v = x[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])];
     if (v == 0.0) continue;
-    for (const auto& [ri, l] : l_cols_[static_cast<std::size_t>(k)]) {
-      x[static_cast<std::size_t>(ri)] -= l * v;
+    const int end = l_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = l_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      x[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(e)])] -=
+          l_val_[static_cast<std::size_t>(e)] * v;
     }
   }
-  // U back substitution into basis-position space.
-  std::vector<double> out(static_cast<std::size_t>(m_), 0.0);
+  // U back substitution into basis-position space. Every U entry of step k
+  // points at a position pivoted later, so each read of `out` finds a value
+  // this pass already wrote and the buffer needs no clearing.
+  solve_buf_.resize(static_cast<std::size_t>(m_));
+  std::vector<double>& out = solve_buf_;
   for (int k = m_ - 1; k >= 0; --k) {
     double s = x[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])];
-    for (const auto& [cj, u] : u_rows_[static_cast<std::size_t>(k)]) {
-      s -= u * out[static_cast<std::size_t>(cj)];
+    const int end = u_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = u_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      s -= u_val_[static_cast<std::size_t>(e)] *
+           out[static_cast<std::size_t>(u_col_[static_cast<std::size_t>(e)])];
     }
     out[static_cast<std::size_t>(pivot_col_[static_cast<std::size_t>(k)])] =
         s / diag_[static_cast<std::size_t>(k)];
@@ -216,36 +280,38 @@ void LuBasis::ftran(std::vector<double>& x) const {
   x.swap(out);
 }
 
-void LuBasis::btran(std::vector<double>& y) const {
+void LuBasis::btran(std::vector<double>& y) {
   ARROW_CHECK(static_cast<int>(y.size()) == m_, "btran size mismatch");
   // Update etas transposed, reverse order (position space).
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
     apply_eta_transposed(*it, y);
   }
-  // U^T forward substitution; y is consumed as the accumulator.
-  std::vector<double> wk(static_cast<std::size_t>(m_), 0.0);
+  // U^T forward substitution; y is consumed as the accumulator and step k's
+  // result lands in row space at z[pivot_row[k]] (pivot rows cover every
+  // row, so z needs no clearing).
+  solve_buf_.resize(static_cast<std::size_t>(m_));
+  std::vector<double>& z = solve_buf_;
   for (int k = 0; k < m_; ++k) {
     const double v =
         y[static_cast<std::size_t>(pivot_col_[static_cast<std::size_t>(k)])] /
         diag_[static_cast<std::size_t>(k)];
-    wk[static_cast<std::size_t>(k)] = v;
+    z[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] = v;
     if (v == 0.0) continue;
-    for (const auto& [cj, u] : u_rows_[static_cast<std::size_t>(k)]) {
-      y[static_cast<std::size_t>(cj)] -= u * v;
+    const int end = u_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = u_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      y[static_cast<std::size_t>(u_col_[static_cast<std::size_t>(e)])] -=
+          u_val_[static_cast<std::size_t>(e)] * v;
     }
   }
-  // Map step index to row space and apply L^T in reverse.
-  std::vector<double> z(static_cast<std::size_t>(m_), 0.0);
-  for (int k = 0; k < m_; ++k) {
-    z[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] =
-        wk[static_cast<std::size_t>(k)];
-  }
+  // L^T in reverse elimination order.
   for (int k = m_ - 1; k >= 0; --k) {
     double s = z[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])];
     bool changed = false;
-    for (const auto& [ri, l] : l_cols_[static_cast<std::size_t>(k)]) {
-      if (z[static_cast<std::size_t>(ri)] != 0.0) {
-        s -= l * z[static_cast<std::size_t>(ri)];
+    const int end = l_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = l_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      const double zr = z[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(e)])];
+      if (zr != 0.0) {
+        s -= l_val_[static_cast<std::size_t>(e)] * zr;
         changed = true;
       }
     }

@@ -5,27 +5,39 @@
 // from a right-looking sparse Gaussian elimination whose pivots are chosen to
 // keep fill low (smallest active column, then smallest row count subject to
 // threshold partial pivoting). Update etas act in basis-position space.
+//
+// The pivot column comes off a lazily invalidated min-queue (O(log m) per
+// count change instead of an O(m) scan per step), singleton eliminations
+// filter the touched columns in place, and L/U live in flat arrays. The pivot
+// sequence and the order of every L/U entry are those of the original
+// O(m^2) column-scan elimination (kept as tests/lu_oracle.h), so FTRAN and
+// BTRAN results are bit-identical to it.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "solver/lp.h"
 
 namespace arrow::solver {
 
 class LuBasis {
  public:
-  // A sparse basis column: (row, value) pairs.
-  using Column = std::vector<std::pair<int, double>>;
-
-  // Factorizes the m columns as the new basis. Returns false if the matrix
-  // is numerically singular.
-  bool factorize(int m, const std::vector<Column>& columns, double pivot_tol);
+  // Factorizes the basis whose position p holds column cols[p] of `a`
+  // (a.rows == cols.size()). Returns false if the matrix is numerically
+  // singular.
+  bool factorize(const SparseMatrix& a, const std::vector<int>& cols,
+                 double pivot_tol);
 
   // x := B^{-1} b. Input in row space; output in basis-position space.
-  void ftran(std::vector<double>& x) const;
+  // Swaps x with an internal buffer, so x's storage changes identity.
+  void ftran(std::vector<double>& x);
 
   // y := B^{-T} c. Input in basis-position space; output in row space.
-  void btran(std::vector<double>& y) const;
+  // Swaps y with an internal buffer, like ftran().
+  void btran(std::vector<double>& y);
 
   // Replaces the basis column at `position`; `w` must be ftran() of the
   // entering column. Returns false if |w[position]| is below pivot_tol.
@@ -49,21 +61,52 @@ class LuBasis {
     int end = 0;
   };
 
+  // Elimination workspace. It outlives each factorize() call so that
+  // refactorizations of a same-sized basis allocate nothing.
+  struct Workspace {
+    // Active submatrix, column-wise. Entries of deactivated rows are
+    // filtered on read; a column rewritten by an elimination holds only
+    // active rows with |value| > drop tolerance.
+    std::vector<std::vector<std::pair<int, double>>> cols;
+    // Columns per row: a superset of the columns holding an entry in that
+    // row (see the fill-in note in basis.cc).
+    std::vector<std::vector<int>> rows_cols;
+    std::vector<int> col_nnz;
+    std::vector<int> row_nnz;
+    std::vector<char> row_active;
+    std::vector<char> col_active;
+    // Min-heap of (max(col_nnz, 1) << 32 | column) keys, lazily invalidated.
+    std::vector<std::uint64_t> queue;
+    std::vector<std::pair<int, double>> live;     // pivot column, active rows
+    std::vector<std::pair<int, double>> rebuilt;  // next image of a column
+    std::vector<double> acc;                      // dense accumulator
+    std::vector<char> in_acc;
+    std::vector<int> acc_rows;
+  };
+
   void apply_eta(const Eta& eta, std::vector<double>& w) const;
   void apply_eta_transposed(const Eta& eta, std::vector<double>& z) const;
 
   int m_ = 0;
-  // Elimination step k: pivot row/col, diagonal, L multipliers, U row.
+  // Elimination step k: pivot row/col and diagonal; its L multipliers are
+  // [l_start_[k], l_start_[k + 1]) of l_row_/l_val_ and its U row is
+  // [u_start_[k], u_start_[k + 1]) of u_col_/u_val_.
   std::vector<int> pivot_row_;   // row space index per step
   std::vector<int> pivot_col_;   // basis-position index per step
   std::vector<double> diag_;
-  std::vector<std::vector<std::pair<int, double>>> l_cols_;  // (row, mult)
-  std::vector<std::vector<std::pair<int, double>>> u_rows_;  // (position, val)
+  std::vector<int> l_start_;
+  std::vector<int> l_row_;
+  std::vector<double> l_val_;
+  std::vector<int> u_start_;
+  std::vector<int> u_col_;       // basis positions
+  std::vector<double> u_val_;
   std::vector<Eta> etas_;
   std::vector<int> eta_pos_;     // off-pivot positions, all etas
   std::vector<double> eta_val_;  // matching values
   std::size_t lu_nnz_ = 0;
   std::size_t eta_nnz_ = 0;
+  std::vector<double> solve_buf_;  // ftran/btran output, swapped with caller's
+  Workspace work_;
 };
 
 }  // namespace arrow::solver

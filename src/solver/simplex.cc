@@ -296,16 +296,7 @@ class Simplex {
 
   bool refactorize() {
     ++refactorizations_;
-    std::vector<LuBasis::Column> cols(static_cast<std::size_t>(m_));
-    for (int p = 0; p < m_; ++p) {
-      const int j = basis_[static_cast<std::size_t>(p)];
-      auto& col = cols[static_cast<std::size_t>(p)];
-      for (int k = lp_.a.col_start[j]; k < lp_.a.col_start[j + 1]; ++k) {
-        col.emplace_back(lp_.a.row_index[k],
-                         lp_.a.value[static_cast<std::size_t>(k)]);
-      }
-    }
-    if (!inv_.factorize(m_, cols, opt_.pivot_tol)) return false;
+    if (!inv_.factorize(lp_.a, basis_, opt_.pivot_tol)) return false;
     recompute_basic_values();
     return true;
   }

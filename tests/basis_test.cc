@@ -1,12 +1,22 @@
-// Direct tests of the LU basis engine against dense linear algebra, plus
-// LinExpr/model-building edge cases.
+// Direct tests of the LU basis engine against dense linear algebra and,
+// bit for bit, against the pre-rewrite elimination kept in lu_oracle.h;
+// plus LinExpr/model-building edge cases.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "lu_oracle.h"
 #include "solver/basis.h"
 #include "solver/linexpr.h"
+#include "solver/lp.h"
 #include "solver/model.h"
+#include "te/arrow.h"
+#include "te/basic.h"
+#include "topo/builders.h"
+#include "traffic/traffic.h"
 #include "util/rng.h"
 
 namespace arrow::solver {
@@ -46,10 +56,34 @@ std::vector<double> dense_solve(std::vector<std::vector<double>> a,
   return x;
 }
 
-std::vector<LuBasis::Column> to_columns(
-    const std::vector<std::vector<double>>& dense) {
+using testing::LuOracle;
+using Column = LuOracle::Column;
+
+// CSC matrix whose column j is cols[j].
+SparseMatrix from_columns(int rows, const std::vector<Column>& cols) {
+  SparseMatrix a;
+  a.rows = rows;
+  a.cols = static_cast<int>(cols.size());
+  a.col_start.push_back(0);
+  for (const Column& col : cols) {
+    for (const auto& [r, v] : col) {
+      a.row_index.push_back(r);
+      a.value.push_back(v);
+    }
+    a.col_start.push_back(a.nnz());
+  }
+  return a;
+}
+
+std::vector<int> identity_positions(int n) {
+  std::vector<int> cols(static_cast<std::size_t>(n));
+  std::iota(cols.begin(), cols.end(), 0);
+  return cols;
+}
+
+SparseMatrix to_matrix(const std::vector<std::vector<double>>& dense) {
   const int n = static_cast<int>(dense.size());
-  std::vector<LuBasis::Column> cols(static_cast<std::size_t>(n));
+  std::vector<Column> cols(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < n; ++i) {
       if (dense[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] !=
@@ -59,13 +93,13 @@ std::vector<LuBasis::Column> to_columns(
       }
     }
   }
-  return cols;
+  return from_columns(n, cols);
 }
 
 TEST(LuBasis, IdentityFactorization) {
   LuBasis basis;
-  std::vector<LuBasis::Column> cols = {{{0, 1.0}}, {{1, 1.0}}, {{2, 1.0}}};
-  ASSERT_TRUE(basis.factorize(3, cols, 1e-10));
+  const SparseMatrix a = from_columns(3, {{{0, 1.0}}, {{1, 1.0}}, {{2, 1.0}}});
+  ASSERT_TRUE(basis.factorize(a, identity_positions(3), 1e-10));
   std::vector<double> x = {3.0, -1.0, 2.0};
   basis.ftran(x);
   EXPECT_NEAR(x[0], 3.0, 1e-12);
@@ -79,9 +113,9 @@ TEST(LuBasis, IdentityFactorization) {
 TEST(LuBasis, DetectsSingularMatrix) {
   LuBasis basis;
   // Two identical columns.
-  std::vector<LuBasis::Column> cols = {
-      {{0, 1.0}, {1, 2.0}}, {{0, 1.0}, {1, 2.0}}};
-  EXPECT_FALSE(basis.factorize(2, cols, 1e-10));
+  const SparseMatrix a =
+      from_columns(2, {{{0, 1.0}, {1, 2.0}}, {{0, 1.0}, {1, 2.0}}});
+  EXPECT_FALSE(basis.factorize(a, identity_positions(2), 1e-10));
 }
 
 class LuBasisRandom : public ::testing::TestWithParam<int> {};
@@ -103,7 +137,7 @@ TEST_P(LuBasisRandom, FtranBtranMatchDenseSolves) {
     }
   }
   LuBasis basis;
-  ASSERT_TRUE(basis.factorize(n, to_columns(dense), 1e-10));
+  ASSERT_TRUE(basis.factorize(to_matrix(dense), identity_positions(n), 1e-10));
 
   // FTRAN: solve B x = b.
   std::vector<double> b(static_cast<std::size_t>(n));
@@ -152,7 +186,7 @@ TEST_P(LuBasisRandom, UpdateMatchesRefactorization) {
     }
   }
   LuBasis basis;
-  ASSERT_TRUE(basis.factorize(n, to_columns(dense), 1e-10));
+  ASSERT_TRUE(basis.factorize(to_matrix(dense), identity_positions(n), 1e-10));
 
   // Replace a column via update(); verify B_new^{-1} b against a fresh
   // factorization of the modified matrix.
@@ -171,7 +205,8 @@ TEST_P(LuBasisRandom, UpdateMatchesRefactorization) {
         newcol[static_cast<std::size_t>(i)];
   }
   LuBasis fresh;
-  ASSERT_TRUE(fresh.factorize(n, to_columns(modified), 1e-10));
+  ASSERT_TRUE(
+      fresh.factorize(to_matrix(modified), identity_positions(n), 1e-10));
 
   std::vector<double> b(static_cast<std::size_t>(n));
   for (auto& v : b) v = rng.uniform(-3.0, 3.0);
@@ -187,6 +222,313 @@ TEST_P(LuBasisRandom, UpdateMatchesRefactorization) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LuBasisRandom, ::testing::Range(0, 10));
+
+// --- bit-identity against the pre-rewrite elimination ----------------------
+
+constexpr double kPivotTol = 1e-8;  // SimplexOptions::pivot_tol's default
+
+std::vector<Column> oracle_columns(const SparseMatrix& a,
+                                   const std::vector<int>& positions) {
+  std::vector<Column> cols;
+  for (int j : positions) {
+    Column& col = cols.emplace_back();
+    for (int k = a.col_start[static_cast<std::size_t>(j)];
+         k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+      col.emplace_back(a.row_index[static_cast<std::size_t>(k)],
+                       a.value[static_cast<std::size_t>(k)]);
+    }
+  }
+  return cols;
+}
+
+// Counts entries whose bit patterns differ (so -0.0 vs 0.0 counts too).
+int bit_mismatches(const std::vector<double>& got,
+                   const std::vector<double>& want) {
+  int n = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    n += std::bit_cast<std::uint64_t>(got[i]) !=
+                 std::bit_cast<std::uint64_t>(want[i])
+             ? 1
+             : 0;
+  }
+  return n;
+}
+
+// FTRAN and BTRAN of unit vectors and of sparse random vectors through both
+// factorizations must agree bit for bit.
+void expect_same_solves(LuBasis& lu, LuOracle& oracle, int m, util::Rng& rng) {
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<double> v(static_cast<std::size_t>(m), 0.0);
+    if (trial < 2) {
+      v[static_cast<std::size_t>(rng.uniform_int(0, m - 1))] = 1.0;
+    } else {
+      for (double& x : v) x = rng.bernoulli(0.3) ? rng.uniform(-4.0, 4.0) : 0.0;
+    }
+    std::vector<double> x = v, x_ref = v;
+    lu.ftran(x);
+    oracle.ftran(x_ref);
+    ASSERT_EQ(x.size(), x_ref.size());
+    EXPECT_EQ(bit_mismatches(x, x_ref), 0) << "ftran, trial " << trial;
+    std::vector<double> y = v, y_ref = v;
+    lu.btran(y);
+    oracle.btran(y_ref);
+    ASSERT_EQ(y.size(), y_ref.size());
+    EXPECT_EQ(bit_mismatches(y, y_ref), 0) << "btran, trial " << trial;
+  }
+}
+
+// Factorizes the basis (position p = column positions[p] of a) with LuBasis
+// and with the oracle and requires the same outcome: success flag, factor
+// and work nnz, bit-identical solves — straight after the factorization and
+// after each of `updates` eta updates with columns drawn from `a`.
+void expect_same_as_oracle(const SparseMatrix& a,
+                           const std::vector<int>& positions,
+                           std::uint64_t seed, int updates) {
+  const int m = static_cast<int>(positions.size());
+  LuBasis lu;
+  LuOracle oracle;
+  const bool ok = lu.factorize(a, positions, kPivotTol);
+  ASSERT_EQ(ok, oracle.factorize(m, oracle_columns(a, positions), kPivotTol));
+  EXPECT_EQ(lu.factor_nnz(), oracle.factor_nnz());
+  EXPECT_EQ(lu.work_nnz(), oracle.work_nnz());
+  if (!ok) return;
+  util::Rng rng(seed);
+  expect_same_solves(lu, oracle, m, rng);
+  for (int u = 0; u < updates; ++u) {
+    std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+    const int j = rng.uniform_int(0, a.cols - 1);
+    for (int k = a.col_start[static_cast<std::size_t>(j)];
+         k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+      w[static_cast<std::size_t>(a.row_index[static_cast<std::size_t>(k)])] =
+          a.value[static_cast<std::size_t>(k)];
+    }
+    std::vector<double> w_ref = w;
+    lu.ftran(w);
+    oracle.ftran(w_ref);
+    ASSERT_EQ(bit_mismatches(w, w_ref), 0) << "entering column, update " << u;
+    int pos = 0;
+    for (int p = 1; p < m; ++p) {
+      if (std::abs(w[static_cast<std::size_t>(p)]) >
+          std::abs(w[static_cast<std::size_t>(pos)])) {
+        pos = p;
+      }
+    }
+    const bool up = lu.update(pos, w, kPivotTol);
+    ASSERT_EQ(up, oracle.update(pos, w_ref, kPivotTol));
+    if (!up) return;
+    EXPECT_EQ(lu.updates_since_factorize(), oracle.updates_since_factorize());
+    EXPECT_EQ(lu.work_nnz(), oracle.work_nnz());
+    expect_same_solves(lu, oracle, m, rng);
+  }
+}
+
+// A simplex-shaped problem: `m` identity slack columns plus `structurals`
+// sparse columns, the basis a shuffled mix of both. Each row gets one basic
+// column with a (usually dominant) entry in it, so most bases factorize.
+// Integer-valued entries make exact cancellations (and so fill -> cancel
+// -> refill) common.
+struct RandomBasis {
+  SparseMatrix a;
+  std::vector<int> positions;
+};
+
+RandomBasis random_basis(util::Rng& rng, bool integer_values,
+                         double tiny_frac) {
+  const int m = rng.uniform_int(2, 60);
+  const int structurals = rng.uniform_int(1, 2 * m);
+  const double density = rng.uniform(0.02, 0.3);
+  std::vector<Column> cols;
+  auto value = [&] {
+    if (rng.bernoulli(tiny_frac)) {
+      const double tiny[] = {0.0, 1e-13, -1e-12, 1e-12, 5e-13};
+      return tiny[rng.uniform_int(0, 4)];
+    }
+    if (integer_values) {
+      const double v = static_cast<double>(rng.uniform_int(1, 3));
+      return rng.bernoulli(0.5) ? v : -v;
+    }
+    return rng.uniform(-3.0, 3.0);
+  };
+  for (int j = 0; j < structurals; ++j) {
+    Column& col = cols.emplace_back();
+    const int diag = j % m;
+    for (int i = 0; i < m; ++i) {
+      if (i == diag) {
+        col.emplace_back(i, value() + (rng.bernoulli(0.8) ? 4.0 : 0.0));
+      } else if (rng.bernoulli(density)) {
+        col.emplace_back(i, value());
+      }
+    }
+  }
+  for (int i = 0; i < m; ++i) cols.push_back({{i, 1.0}});
+  RandomBasis b{from_columns(m, cols), {}};
+  // Row i's basic column: its slack or one of the structurals j with
+  // j % m == i. Positions are then shuffled.
+  for (int i = 0; i < m; ++i) {
+    const int choices = 1 + (structurals - i + m - 1) / m;
+    const int pick = rng.uniform_int(0, choices - 1);
+    b.positions.push_back(pick == 0 ? structurals + i : i + (pick - 1) * m);
+  }
+  for (std::size_t i = b.positions.size(); i > 1; --i) {
+    std::swap(b.positions[i - 1],
+              b.positions[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<int>(i) - 1))]);
+  }
+  return b;
+}
+
+class LuBasisOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(LuBasisOracle, RandomSparseBasesMatchBitForBit) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 5);
+  for (int round = 0; round < 8; ++round) {
+    const RandomBasis b = random_basis(rng, round % 2 == 1, 0.0);
+    expect_same_as_oracle(b.a, b.positions, rng.next_u64(), 4);
+  }
+}
+
+TEST_P(LuBasisOracle, TinyInputEntriesMatchBitForBit) {
+  // Entries of magnitude <= 1e-12 (and explicit zeros) count towards the
+  // initial column/row counts but are dropped by the first elimination that
+  // touches them — including singleton eliminations.
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 17);
+  for (int round = 0; round < 8; ++round) {
+    const RandomBasis b = random_basis(rng, round % 2 == 0, 0.25);
+    expect_same_as_oracle(b.a, b.positions, rng.next_u64(), 4);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LuBasisOracle, ::testing::Range(0, 12));
+
+TEST(LuBasisOracle, SingularBasesFailLikeTheOracle) {
+  const std::vector<std::vector<Column>> cases = {
+      // Duplicate columns.
+      {{{0, 1.0}, {1, 2.0}}, {{0, 1.0}, {1, 2.0}}, {{2, 1.0}}},
+      // Empty column.
+      {{{0, 1.0}}, {}, {{1, 1.0}, {2, 1.0}}},
+      // Column of input entries below the drop tolerance.
+      {{{0, 1.0}}, {{1, 1e-13}, {2, -1e-12}}, {{1, 1.0}, {2, 1.0}}},
+      // Third column = first + second: singular only after elimination.
+      {{{0, 1.0}, {1, 2.0}},
+       {{1, 1.0}, {2, 3.0}},
+       {{0, 1.0}, {1, 3.0}, {2, 3.0}}},
+      // Structurally singular: two columns confined to one row.
+      {{{0, 1.0}}, {{0, 2.0}}, {{1, 1.0}, {2, 1.0}}},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    const SparseMatrix a = from_columns(3, cases[i]);
+    LuBasis lu;
+    EXPECT_FALSE(lu.factorize(a, identity_positions(3), kPivotTol));
+    expect_same_as_oracle(a, identity_positions(3), i, 0);
+  }
+  // Random bases with rank-deficient structure: some must fail, and every
+  // outcome must match the oracle's.
+  util::Rng rng(2024);
+  int failures = 0;
+  for (int round = 0; round < 40; ++round) {
+    RandomBasis b = random_basis(rng, true, 0.0);
+    const int m = b.a.rows;
+    if (m < 3) continue;
+    // Repeat a basic column at another position.
+    b.positions[static_cast<std::size_t>(rng.uniform_int(1, m - 1))] =
+        b.positions[0];
+    LuBasis lu;
+    failures += lu.factorize(b.a, b.positions, kPivotTol) ? 0 : 1;
+    expect_same_as_oracle(b.a, b.positions, rng.next_u64(), 2);
+  }
+  EXPECT_GT(failures, 0);
+}
+
+// Regression: rows_cols[3] lists column 4 twice. Step 0 (pivot col 0, row
+// 0) fills column 4 at row 3; step 1 (col 1, row 1) cancels that entry
+// exactly; step 2 (col 2, row 2) fills it again and pushes column 4 onto
+// row 3's list a second time. Step 3 pivots row 3 and visits column 4 twice:
+// the second visit must find nothing left to eliminate. With a tiny entry
+// in column 3 the step-3 elimination is a singleton (no L multipliers) and
+// runs in place; with a regular one it goes through the accumulator.
+TEST(LuBasisOracle, FillCancelRefillVisitsColumnOnce) {
+  for (const double col3_row4 : {1e-13, 1.0}) {
+    SCOPED_TRACE(col3_row4);
+    const std::vector<Column> cols = {
+        {{0, 1.0}, {3, 1.0}},
+        {{1, 1.0}, {3, 1.0}},
+        {{2, 1.0}, {3, 1.0}},
+        {{3, 1.0}, {4, col3_row4}},
+        {{0, 1.0}, {1, -1.0}, {2, 1.0}, {4, 1.0}},
+    };
+    const SparseMatrix a = from_columns(5, cols);
+    expect_same_as_oracle(a, identity_positions(5), 7, 3);
+
+    // And the factors still solve the system.
+    std::vector<std::vector<double>> dense(5, std::vector<double>(5, 0.0));
+    for (int j = 0; j < 5; ++j) {
+      for (const auto& [r, v] : cols[static_cast<std::size_t>(j)]) {
+        dense[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] = v;
+      }
+    }
+    LuBasis lu;
+    ASSERT_TRUE(lu.factorize(a, identity_positions(5), kPivotTol));
+    const std::vector<double> b = {1.0, -2.0, 0.5, 3.0, -1.0};
+    std::vector<double> x = b;
+    lu.ftran(x);
+    const auto x_ref = dense_solve(dense, b);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_NEAR(x[static_cast<std::size_t>(i)],
+                  x_ref[static_cast<std::size_t>(i)], 1e-9);
+    }
+  }
+}
+
+// Optimal bases of the LPs a B4 ARROW solve hands the simplex: hundreds of
+// rows, a mix of structural and slack columns, the bases every warm re-solve
+// starts from.
+TEST(LuBasisOracle, CapturedArrowBasesMatchBitForBit) {
+  const topo::Network net = topo::build_b4();
+  util::Rng rng(404);
+  traffic::TrafficParams tp;
+  tp.num_matrices = 1;
+  const auto ms = traffic::generate_traffic(net, tp, rng);
+  scenario::ScenarioParams sp;
+  sp.probability_cutoff = 0.002;
+  auto scen = scenario::generate_scenarios(net, sp, rng);
+  const auto scenarios = scenario::remove_disconnecting(net, scen.scenarios);
+  te::TunnelParams tun;
+  tun.tunnels_per_flow = 4;
+  te::TeInput input(net, ms[0], scenarios, tun);
+  input.scale_demands(te::max_satisfiable_scale(input) * 0.9);
+  te::ArrowParams params;
+  params.tickets.num_tickets = 3;
+  const auto prepared = te::prepare_arrow(input, params, rng);
+
+  std::vector<std::pair<SparseMatrix, std::vector<int>>> bases;
+  {
+    ScopedSolveObserver capture([&](const Lp& lp, LpSolution& sol) {
+      if (bases.size() >= 6 || sol.basis.num_basic() != lp.a.rows) return;
+      std::vector<int> positions;
+      for (int j = 0; j < lp.a.cols; ++j) {
+        if (sol.basis.status[static_cast<std::size_t>(j)] ==
+            BasisStatus::kBasic) {
+          positions.push_back(j);
+        }
+      }
+      bases.emplace_back(lp.a, std::move(positions));
+    });
+    ASSERT_TRUE(te::solve_arrow(input, prepared, params).optimal);
+  }
+  ASSERT_FALSE(bases.empty());
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& [a, positions] = bases[i];
+    const int first_slack = a.cols - a.rows;  // Model appends the slacks
+    int structural = 0;
+    for (int j : positions) structural += j < first_slack ? 1 : 0;
+    EXPECT_GT(structural, 0) << "an all-slack basis tests nothing here";
+    LuBasis lu;
+    EXPECT_TRUE(lu.factorize(a, positions, kPivotTol));
+    expect_same_as_oracle(a, positions, 31 + i, 6);
+  }
+}
 
 TEST(LinExpr, OperatorAlgebra) {
   const VarId x{0}, y{1};
