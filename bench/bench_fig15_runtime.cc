@@ -99,7 +99,7 @@ BENCHMARK(BM_ArrowTe_B4)->Arg(1)->Arg(5)->Arg(10)->Arg(20)->Arg(40)
     ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_ArrowTe_IBM)->Arg(1)->Arg(5)->Arg(10)->Arg(20)
     ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_ArrowTe_FBsynth)->Arg(1)->Arg(5)->Arg(10)
+BENCHMARK(BM_ArrowTe_FBsynth)->Arg(1)->Arg(5)->Arg(10)->Arg(120)
     ->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
 
 int main(int argc, char** argv) {

@@ -14,12 +14,17 @@
 //   * the branchless ratio-test kernel is within 10% of the branchy one
 //     (full size only — wall-clock gates flake on an oversubscribed box);
 //   * every captured basis refactorizes, and FTRAN of ~64 sampled basic
-//     columns gives back their unit vectors.
+//     columns gives back their unit vectors;
+//   * the hypersparse FTRAN/BTRAN equal the dense ones on ~64 sampled
+//     columns and unit rows per basis: every entry compares equal, every
+//     nonzero is bit-identical, and the index is ascending and lists every
+//     nonzero.
 //
-// The LU section times the basis kernels alone — factorizations/s and
-// FTRAN/BTRAN calls/s — on the optimal bases of the Phase I LP (the
-// bench's topology) and of an FBsynth ARROW solve. It reports throughput
-// only; there is no wall-clock gate.
+// The LU section times the basis kernels alone — factorizations/s, dense
+// and hypersparse FTRAN/BTRAN calls/s, and the mean share of nonzeros in a
+// hypersparse result — on the optimal bases of the Phase I LP (the bench's
+// topology) and of an FBsynth ARROW solve. It reports throughput only;
+// there is no wall-clock gate.
 //
 // Environment knobs: ARROW_BENCH_FAST=1 shrinks to the B4 topology for
 // CI-speed runs (bench-smoke). Results land in BENCH_simplex.json
@@ -29,6 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +149,51 @@ std::vector<CapturedBasis> capture_bases(Fn solve) {
   return bases;
 }
 
+// Hypersparse input: column j of a (row space) or unit vector e_p.
+void load_column(const solver::SparseMatrix& a, int j,
+                 solver::IndexedVector& v) {
+  v.clear();
+  for (int k = a.col_start[static_cast<std::size_t>(j)];
+       k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+    const int r = a.row_index[static_cast<std::size_t>(k)];
+    v.values[static_cast<std::size_t>(r)] = a.value[static_cast<std::size_t>(k)];
+    v.index.push_back(r);
+  }
+}
+
+void load_unit(int p, solver::IndexedVector& v) {
+  v.clear();
+  v.values[static_cast<std::size_t>(p)] = 1.0;
+  v.index.push_back(p);
+}
+
+// Sparse result against the dense one: equal entries (a zero may differ in
+// sign), bit-identical nonzeros, an ascending index listing every nonzero.
+bool same_as_dense(const solver::IndexedVector& got,
+                   const std::vector<double>& want) {
+  if (got.values.size() != want.size()) return false;
+  std::vector<char> listed(want.size(), 0);
+  for (std::size_t k = 0; k < got.index.size(); ++k) {
+    if (k > 0 && got.index[k - 1] >= got.index[k]) return false;
+    listed[static_cast<std::size_t>(got.index[k])] = 1;
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got.values[i] != want[i]) return false;
+    if (want[i] != 0.0 && std::memcmp(&got.values[i], &want[i],
+                                      sizeof(double)) != 0) {
+      return false;
+    }
+    if (got.values[i] != 0.0 && !listed[i]) return false;
+  }
+  return true;
+}
+
+std::size_t nonzeros(const solver::IndexedVector& v) {
+  std::size_t n = 0;
+  for (int i : v.index) n += v.values[static_cast<std::size_t>(i)] != 0.0 ? 1 : 0;
+  return n;
+}
+
 std::vector<double> column_of(const solver::SparseMatrix& a, int j) {
   std::vector<double> v(static_cast<std::size_t>(a.rows), 0.0);
   for (int k = a.col_start[static_cast<std::size_t>(j)];
@@ -153,11 +204,12 @@ std::vector<double> column_of(const solver::SparseMatrix& a, int j) {
   return v;
 }
 
-// Factorizations/s and FTRAN/BTRAN calls/s over one corpus of bases, best of
-// three passes. FTRAN inputs are the LP's columns in turn (entering columns
-// in the simplex), BTRAN inputs unit vectors (the simplex's pivot-row solve).
-// Returns false if a basis fails to factorize or FTRAN of a sampled basic
-// column misses its unit vector.
+// Factorizations/s and dense and hypersparse FTRAN/BTRAN calls/s over one
+// corpus of bases, best of three passes. FTRAN inputs are the LP's columns
+// in turn (entering columns in the simplex), BTRAN inputs unit vectors (the
+// simplex's pivot-row solve). Returns false if a basis fails to factorize,
+// FTRAN of a sampled basic column misses its unit vector, or a sampled
+// hypersparse solve differs from the dense one.
 bool lu_section(const char* name, const std::vector<CapturedBasis>& bases,
                 int solves_per_basis, bench::BenchJson& out) {
   bool ok = true;
@@ -188,16 +240,42 @@ bool lu_section(const char* name, const std::vector<CapturedBasis>& bases,
                    "its unit vector by %.3g\n", name, worst);
       ok = false;
     }
+    solver::IndexedVector sparse;
+    sparse.reset(b.a.rows);
+    int mismatches = 0;
+    for (int k = 0; k < 64; ++k) {
+      const int j = (k * 7919) % b.a.cols;
+      std::vector<double> dense = column_of(b.a, j);
+      lu.ftran(dense);
+      load_column(b.a, j, sparse);
+      lu.ftran(sparse);
+      mismatches += same_as_dense(sparse, dense) ? 0 : 1;
+      const int p = (k * 104729) % b.a.rows;
+      dense.assign(static_cast<std::size_t>(b.a.rows), 0.0);
+      dense[static_cast<std::size_t>(p)] = 1.0;
+      lu.btran(dense);
+      load_unit(p, sparse);
+      lu.btran(sparse);
+      mismatches += same_as_dense(sparse, dense) ? 0 : 1;
+    }
+    if (mismatches > 0) {
+      std::fprintf(stderr, "FAIL: %s basis: %d of 128 sampled hypersparse "
+                   "solves differ from the dense ones\n", name, mismatches);
+      ok = false;
+    }
   }
   if (!ok) return false;
 
   const int reps = 5;
   double factor_s = 1e300, ftran_s = 1e300, btran_s = 1e300;
+  double sparse_ftran_s = 1e300, sparse_btran_s = 1e300;
+  double ftran_density = 0.0, btran_density = 0.0;
   double checksum = 0.0;
   long long factorizations = 0, ftrans = 0, btrans = 0;
   for (int trial = 0; trial < 3; ++trial) {
     solver::LuBasis lu;
-    double f = 0.0, ft = 0.0, bt = 0.0;
+    double f = 0.0, ft = 0.0, bt = 0.0, sft = 0.0, sbt = 0.0;
+    double ft_nz = 0.0, bt_nz = 0.0;
     long long nf = 0, nft = 0, nbt = 0;
     for (const CapturedBasis& b : bases) {
       const double t0 = now_s();
@@ -228,10 +306,36 @@ bool lu_section(const char* name, const std::vector<CapturedBasis>& bases,
       }
       bt += now_s() - t2;
       nbt += solves_per_basis;
+
+      solver::IndexedVector v;
+      v.reset(b.a.rows);
+      std::size_t nz = 0;
+      const double t3 = now_s();
+      for (int k = 0; k < solves_per_basis; ++k) {
+        load_column(b.a, (k * 7919) % b.a.cols, v);
+        lu.ftran(v);
+        nz += nonzeros(v);
+      }
+      sft += now_s() - t3;
+      ft_nz += static_cast<double>(nz) / b.a.rows;
+      nz = 0;
+      const double t4 = now_s();
+      for (int k = 0; k < solves_per_basis; ++k) {
+        load_unit((k * 104729) % b.a.rows, v);
+        lu.btran(v);
+        nz += nonzeros(v);
+      }
+      sbt += now_s() - t4;
+      bt_nz += static_cast<double>(nz) / b.a.rows;
     }
     factor_s = std::min(factor_s, f);
     ftran_s = std::min(ftran_s, ft);
     btran_s = std::min(btran_s, bt);
+    sparse_ftran_s = std::min(sparse_ftran_s, sft);
+    sparse_btran_s = std::min(sparse_btran_s, sbt);
+    // Mean share of nonzeros per result (deterministic, same every trial).
+    ftran_density = ft_nz / static_cast<double>(nft);
+    btran_density = bt_nz / static_cast<double>(nbt);
     factorizations = nf;
     ftrans = nft;
     btrans = nbt;
@@ -239,6 +343,8 @@ bool lu_section(const char* name, const std::vector<CapturedBasis>& bases,
   const double fps = factor_s > 0.0 ? factorizations / factor_s : 0.0;
   const double ftps = ftran_s > 0.0 ? ftrans / ftran_s : 0.0;
   const double btps = btran_s > 0.0 ? btrans / btran_s : 0.0;
+  const double sftps = sparse_ftran_s > 0.0 ? ftrans / sparse_ftran_s : 0.0;
+  const double sbtps = sparse_btran_s > 0.0 ? btrans / sparse_btran_s : 0.0;
   const std::string k = std::string("lu_") + name;
   out.set(k + "_bases", static_cast<long long>(bases.size()));
   out.set(k + "_rows", rows);
@@ -246,10 +352,17 @@ bool lu_section(const char* name, const std::vector<CapturedBasis>& bases,
   out.set(k + "_factorizations_per_sec", fps);
   out.set(k + "_ftran_per_sec", ftps);
   out.set(k + "_btran_per_sec", btps);
+  out.set(k + "_sparse_ftran_per_sec", sftps);
+  out.set(k + "_sparse_btran_per_sec", sbtps);
+  out.set(k + "_sparse_ftran_density", ftran_density);
+  out.set(k + "_sparse_btran_density", btran_density);
   std::printf("LU %-8s %zu bases, %lld rows, %lld factor nnz: %8.1f "
               "factorizations/sec, %9.0f ftran/sec, %9.0f btran/sec "
               "(checksum %.3g)\n", name, bases.size(), rows, factor_nnz, fps,
               ftps, btps, checksum);
+  std::printf("LU %-8s hypersparse: %9.0f ftran/sec (%.1f%% nonzero), "
+              "%9.0f btran/sec (%.1f%% nonzero)\n", name, sftps,
+              100.0 * ftran_density, sbtps, 100.0 * btran_density);
   return true;
 }
 

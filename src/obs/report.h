@@ -4,8 +4,8 @@
 // RunReport is the machine-readable summary of one controller run —
 // scenario counts, the rung that served each ladder outcome, the solver's
 // returned pivot/warm-start totals, BasisStore traffic, restoration latency
-// percentiles — serialized as versioned JSON (`"version": 2`) so downstream
-// tooling can evolve with the format. The numbers are copied from the
+// percentiles — serialized as versioned JSON (`"version"` is kVersion) so
+// downstream tooling can evolve with the format. The numbers are copied from the
 // controller's own accounting (which in turn records what the solver
 // returned), never re-derived from global metrics, so a report's counts
 // match the solver's stats exactly even when concurrent runs share the

@@ -1,6 +1,7 @@
 #include "solver/basis.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 
@@ -14,14 +15,74 @@ constexpr double kDropTol = 1e-12;
 // pivot must be at least this fraction of the column's largest entry.
 constexpr double kRelPivot = 0.05;
 
-// Pivot-queue key. Counts 0 and 1 share a key so that the first column in
-// index order with at most one entry wins, exactly like the column scan it
-// replaces (which stopped at the first such column).
+// Pivot-queue key of a column with nnz >= 2 entries: lowest count, then
+// lowest index.
 std::uint64_t column_key(int nnz, int col) {
-  return (static_cast<std::uint64_t>(std::max(nnz, 1)) << 32) |
+  return (static_cast<std::uint64_t>(nnz) << 32) |
          static_cast<std::uint32_t>(col);
 }
+
+// Bitmaps over steps, positions or rows (64 per word).
+void set_bit(std::vector<std::uint64_t>& bits, int i) {
+  bits[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
+}
+
+bool test_bit(const std::vector<std::uint64_t>& bits, int i) {
+  return (bits[static_cast<std::size_t>(i) >> 6] >> (i & 63)) & 1u;
+}
+
+void clear_bit(std::vector<std::uint64_t>& bits, int i) {
+  bits[static_cast<std::size_t>(i) >> 6] &= ~(std::uint64_t{1} << (i & 63));
+}
+
+// Visits the marked steps in ascending order, unmarking each before
+// visit(k) runs. visit may mark further steps, all above k, and they are
+// visited in turn. Costs one pass over the words plus the visits.
+template <class Visit>
+void sweep_up(std::vector<std::uint64_t>& bits, Visit visit) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    while (bits[w] != 0) {
+      const int b = std::countr_zero(bits[w]);
+      bits[w] &= bits[w] - 1;
+      visit(static_cast<int>(w * 64) + b);
+    }
+  }
+}
+
+// The same in descending order: visit may mark further steps below k.
+template <class Visit>
+void sweep_down(std::vector<std::uint64_t>& bits, Visit visit) {
+  for (std::size_t w = bits.size(); w-- > 0;) {
+    while (bits[w] != 0) {
+      const int b = 63 - std::countl_zero(bits[w]);
+      bits[w] &= ~(std::uint64_t{1} << b);
+      visit(static_cast<int>(w * 64) + b);
+    }
+  }
+}
+
+// Replaces `list` with the marked indices in ascending order and unmarks
+// them.
+void drain_ascending(std::vector<std::uint64_t>& bits, std::vector<int>& list) {
+  list.clear();
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      list.push_back(static_cast<int>(w * 64) + std::countr_zero(word));
+    }
+    bits[w] = 0;
+  }
+}
 }  // namespace
+
+void IndexedVector::reset(int m) {
+  values.assign(static_cast<std::size_t>(m), 0.0);
+  index.clear();
+}
+
+void IndexedVector::clear() {
+  for (int i : index) values[static_cast<std::size_t>(i)] = 0.0;
+  index.clear();
+}
 
 bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
                         double pivot_tol) {
@@ -48,12 +109,14 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
   ws.cols.resize(um);
   ws.rows_cols.resize(um);
   for (auto& rc : ws.rows_cols) rc.clear();
+  ws.col_dirty.assign(um, 0);
   ws.col_nnz.assign(um, 0);
   ws.row_nnz.assign(um, 0);
   ws.row_active.assign(um, 1);
   ws.col_active.assign(um, 1);
   ws.acc.assign(um, 0.0);
   ws.in_acc.assign(um, 0);
+  ws.ready.assign((um + 63) / 64, 0);
   ws.queue.clear();
   for (int p = 0; p < m; ++p) {
     const int j = cols[static_cast<std::size_t>(p)];
@@ -62,22 +125,39 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
     for (int k = a.col_start[static_cast<std::size_t>(j)];
          k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
       const int r = a.row_index[static_cast<std::size_t>(k)];
-      col.emplace_back(r, a.value[static_cast<std::size_t>(k)]);
-      ws.rows_cols[static_cast<std::size_t>(r)].push_back(p);
+      const double v = a.value[static_cast<std::size_t>(k)];
+      ws.rows_cols[static_cast<std::size_t>(r)].emplace_back(
+          p, static_cast<int>(col.size()));
+      col.emplace_back(r, v);
       ++ws.row_nnz[static_cast<std::size_t>(r)];
+      if (std::abs(v) <= kDropTol) ws.col_dirty[static_cast<std::size_t>(p)] = 1;
     }
-    ws.col_nnz[static_cast<std::size_t>(p)] = static_cast<int>(col.size());
-    ws.queue.push_back(column_key(static_cast<int>(col.size()), p));
+    const int nnz = static_cast<int>(col.size());
+    ws.col_nnz[static_cast<std::size_t>(p)] = nnz;
+    if (nnz <= 1) {
+      set_bit(ws.ready, p);
+    } else {
+      ws.queue.push_back(column_key(nnz, p));
+    }
   }
   const auto later = std::greater<std::uint64_t>();
   std::make_heap(ws.queue.begin(), ws.queue.end(), later);
+  std::size_t ready_lo = 0;  // no ready bit below this word
 
   for (int step = 0; step < m; ++step) {
     // --- pivot column: smallest active column count -----------------------
-    // Every active column has a queue entry carrying its current key; an
-    // entry whose column was pivoted or whose count moved on is stale.
+    // The first column in index order with at most one entry wins, exactly
+    // like the column scan this replaces (which stopped at the first such
+    // column). Otherwise the queue holds a key for every active column with
+    // its current count; an entry whose column was pivoted or whose count
+    // moved on is stale.
     int c = -1;
-    while (!ws.queue.empty()) {
+    while (ready_lo < ws.ready.size() && ws.ready[ready_lo] == 0) ++ready_lo;
+    if (ready_lo < ws.ready.size()) {
+      c = static_cast<int>(ready_lo * 64) + std::countr_zero(ws.ready[ready_lo]);
+      clear_bit(ws.ready, c);
+    }
+    while (c < 0 && !ws.queue.empty()) {
       std::pop_heap(ws.queue.begin(), ws.queue.end(), later);
       const std::uint64_t key = ws.queue.back();
       ws.queue.pop_back();
@@ -145,29 +225,36 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
     // rows_cols[r] may list a column twice: a fill entry that cancelled
     // leaves its column in the row's list, and a later refill pushes it
     // again. The second visit is a no-op because the first one removed row
-    // r from the column, so the U row and every count come out the same as
-    // with a duplicate-free list.
+    // r from the column (or tombstoned it to 0), so the U row and every
+    // count come out the same as with a duplicate-free list.
     const std::size_t u_begin = u_col_.size();
-    for (int cj : ws.rows_cols[static_cast<std::size_t>(r)]) {
+    for (const auto& [cj, hint] : ws.rows_cols[static_cast<std::size_t>(r)]) {
       if (!ws.col_active[static_cast<std::size_t>(cj)]) continue;
       auto& col = ws.cols[static_cast<std::size_t>(cj)];
-      double u = 0.0;
-      bool found = false;
-      for (const auto& [ri, v] : col) {
-        if (ri == r) {
-          u = v;
-          found = true;
-          break;
-        }
+      // Row r's entry: where the hint says if it is still there, else by a
+      // scan (the column was rewritten since the hint was taken).
+      std::size_t at = static_cast<std::size_t>(hint);
+      if (hint < 0 || at >= col.size() || col[at].first != r) {
+        at = 0;
+        while (at < col.size() && col[at].first != r) ++at;
       }
-      if (!found || std::abs(u) <= kDropTol) continue;
+      if (at == col.size()) continue;
+      const double u = col[at].second;
+      if (std::abs(u) <= kDropTol) continue;
       u_col_.push_back(cj);
       u_val_.push_back(u);
 
       const int old_nnz = ws.col_nnz[static_cast<std::size_t>(cj)];
-      if (l_begin == l_end) {
-        // Singleton step (no multipliers): the column keeps its values and
-        // order and only loses deactivated rows (r among them) and
+      int new_nnz;
+      if (l_begin == l_end && !ws.col_dirty[static_cast<std::size_t>(cj)]) {
+        // Singleton step (no multipliers) on a clean column: every entry
+        // outside row r is in an active row and above the drop tolerance,
+        // so the column loses exactly row r. Tombstone it in place.
+        col[at].second = 0.0;
+        new_nnz = old_nnz - 1;
+      } else if (l_begin == l_end) {
+        // Singleton step on a dirty column: the column keeps its values
+        // and order and only loses deactivated rows (r among them) and
         // below-tolerance input entries — filtered in place.
         std::size_t kept = 0;
         for (const auto& e : col) {
@@ -179,9 +266,13 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
           }
         }
         col.resize(kept);
+        ws.col_dirty[static_cast<std::size_t>(cj)] = 0;
+        new_nnz = static_cast<int>(kept);
       } else {
         // col := col - u * lcol, rebuilt through a dense accumulator:
-        // surviving entries in column order, then fill in L order.
+        // surviving entries in column order, then fill in L order. in_acc
+        // is 2 for a fill, whose rows_cols entry (the last of its row's
+        // list: a row appears once in L) gets its position below.
         ws.acc_rows.clear();
         for (const auto& [ri, v] : col) {
           if (!ws.row_active[static_cast<std::size_t>(ri)]) continue;
@@ -194,9 +285,9 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
           const double l = l_val_[e];
           if (!ws.in_acc[static_cast<std::size_t>(ri)]) {
             ws.acc[static_cast<std::size_t>(ri)] = 0.0;
-            ws.in_acc[static_cast<std::size_t>(ri)] = 1;
+            ws.in_acc[static_cast<std::size_t>(ri)] = 2;
             ws.acc_rows.push_back(ri);
-            ws.rows_cols[static_cast<std::size_t>(ri)].push_back(cj);  // fill
+            ws.rows_cols[static_cast<std::size_t>(ri)].emplace_back(cj, -1);
             ++ws.row_nnz[static_cast<std::size_t>(ri)];
           }
           ws.acc[static_cast<std::size_t>(ri)] -= l * u;
@@ -205,6 +296,10 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
         for (int ri : ws.acc_rows) {
           const double v = ws.acc[static_cast<std::size_t>(ri)];
           if (std::abs(v) > kDropTol) {
+            if (ws.in_acc[static_cast<std::size_t>(ri)] == 2) {
+              ws.rows_cols[static_cast<std::size_t>(ri)].back().second =
+                  static_cast<int>(ws.rebuilt.size());
+            }
             ws.rebuilt.emplace_back(ri, v);
           } else {
             --ws.row_nnz[static_cast<std::size_t>(ri)];  // cancellation
@@ -212,10 +307,17 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
           ws.in_acc[static_cast<std::size_t>(ri)] = 0;
         }
         col.swap(ws.rebuilt);
+        ws.col_dirty[static_cast<std::size_t>(cj)] = 0;
+        new_nnz = static_cast<int>(col.size());
       }
-      const int new_nnz = static_cast<int>(col.size());
+      // A column never leaves the ready bitmap by growing: singleton steps
+      // only shrink columns, and a step with multipliers only runs once no
+      // active column has at most one entry.
       ws.col_nnz[static_cast<std::size_t>(cj)] = new_nnz;
-      if (column_key(new_nnz, cj) != column_key(old_nnz, cj)) {
+      if (new_nnz <= 1) {
+        set_bit(ws.ready, cj);
+        ready_lo = std::min(ready_lo, static_cast<std::size_t>(cj) >> 6);
+      } else if (new_nnz != old_nnz) {
         ws.queue.push_back(column_key(new_nnz, cj));
         std::push_heap(ws.queue.begin(), ws.queue.end(), later);
       }
@@ -223,7 +325,46 @@ bool LuBasis::factorize(const SparseMatrix& a, const std::vector<int>& cols,
     u_start_.push_back(static_cast<int>(u_col_.size()));
     lu_nnz_ += u_col_.size() - u_begin;
   }
+  build_reach_structure();
   return true;
+}
+
+void LuBasis::build_reach_structure() {
+  const auto um = static_cast<std::size_t>(m_);
+  step_of_row_.resize(um);
+  step_of_pos_.resize(um);
+  for (int k = 0; k < m_; ++k) {
+    step_of_row_[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] = k;
+    step_of_pos_[static_cast<std::size_t>(pivot_col_[static_cast<std::size_t>(k)])] = k;
+  }
+  // Counting-sort transposes: the producing step of each U entry is the
+  // step that pivoted its position, of each L entry the step that pivoted
+  // its row. Consumers land in ascending step order.
+  auto transpose = [&](const std::vector<int>& start,
+                       const std::vector<int>& target,
+                       const std::vector<int>& producer,
+                       std::vector<int>& out_start, std::vector<int>& out) {
+    out_start.assign(um + 1, 0);
+    for (int t : target) {
+      ++out_start[static_cast<std::size_t>(producer[static_cast<std::size_t>(t)]) + 1];
+    }
+    for (std::size_t k = 0; k < um; ++k) out_start[k + 1] += out_start[k];
+    out.resize(target.size());
+    steps_.assign(out_start.begin(), out_start.end() - 1);  // fill cursors
+    for (int k = 0; k < m_; ++k) {
+      for (int e = start[static_cast<std::size_t>(k)];
+           e < start[static_cast<std::size_t>(k) + 1]; ++e) {
+        const int p = producer[static_cast<std::size_t>(target[static_cast<std::size_t>(e)])];
+        out[static_cast<std::size_t>(steps_[static_cast<std::size_t>(p)]++)] = k;
+      }
+    }
+  };
+  transpose(u_start_, u_col_, step_of_pos_, ut_start_, ut_step_);
+  transpose(l_start_, l_row_, step_of_row_, lt_start_, lt_step_);
+  steps_.clear();
+  step_bits_.assign((um + 63) / 64, 0);
+  out_bits_.assign((um + 63) / 64, 0);
+  zero_buf_.assign(um, 0.0);
 }
 
 void LuBasis::apply_eta(const Eta& eta, std::vector<double>& w) const {
@@ -322,18 +463,173 @@ void LuBasis::btran(std::vector<double>& y) {
   y.swap(z);
 }
 
-bool LuBasis::update(int position, const std::vector<double>& w,
-                     double pivot_tol) {
+// Hypersparse FTRAN. A pass visits only the steps the right-hand side
+// reaches: each visit marks the steps its result feeds (L multipliers in
+// the L pass, Uᵀ consumers in the U pass) in a step bitmap, and a sweep
+// over that bitmap takes them in step order. The L pass scatters columns,
+// so a row accumulates its terms in the order of the steps that reach it:
+// ascending, as in the dense pass. The U pass is a row dot per step whose
+// terms come in storage order; it runs in descending step order, which is
+// the dense order and a topological one.
+void LuBasis::ftran(IndexedVector& x) {
+  ARROW_CHECK(static_cast<int>(x.values.size()) == m_, "ftran size mismatch");
+  std::vector<double>& v = x.values;  // row space
+  for (int r : x.index) {
+    if (v[static_cast<std::size_t>(r)] != 0.0) {
+      set_bit(step_bits_, step_of_row_[static_cast<std::size_t>(r)]);
+    }
+  }
+  steps_.clear();
+  sweep_up(step_bits_, [&](int k) {
+    steps_.push_back(k);
+    const double t = v[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])];
+    if (t == 0.0) return;
+    const int end = l_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = l_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      const int r = l_row_[static_cast<std::size_t>(e)];
+      v[static_cast<std::size_t>(r)] -= l_val_[static_cast<std::size_t>(e)] * t;
+      set_bit(step_bits_, step_of_row_[static_cast<std::size_t>(r)]);
+    }
+  });
+
+  for (int k : steps_) {
+    if (v[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] != 0.0) {
+      set_bit(step_bits_, k);
+    }
+  }
+  std::vector<double>& out = zero_buf_;  // position space
+  sweep_down(step_bits_, [&](int k) {
+    double s = v[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])];
+    const int end = u_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = u_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      s -= u_val_[static_cast<std::size_t>(e)] *
+           out[static_cast<std::size_t>(u_col_[static_cast<std::size_t>(e)])];
+    }
+    const int p = pivot_col_[static_cast<std::size_t>(k)];
+    const double value = s / diag_[static_cast<std::size_t>(k)];
+    out[static_cast<std::size_t>(p)] = value;
+    set_bit(out_bits_, p);
+    if (value == 0.0) return;
+    const int uend = ut_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = ut_start_[static_cast<std::size_t>(k)]; e < uend; ++e) {
+      set_bit(step_bits_, ut_step_[static_cast<std::size_t>(e)]);
+    }
+  });
+  // Every nonzero of the row-space input lay on a row the L pass visited.
+  for (int k : steps_) {
+    v[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] = 0.0;
+  }
+
+  const int* pos = eta_pos_.data();
+  const double* val = eta_val_.data();
+  for (const Eta& eta : etas_) {
+    const double t = out[static_cast<std::size_t>(eta.pivot_pos)];
+    if (t == 0.0) continue;
+    for (int k = eta.start; k < eta.end; ++k) {
+      out[static_cast<std::size_t>(pos[k])] += val[k] * t;
+      set_bit(out_bits_, pos[k]);
+    }
+    out[static_cast<std::size_t>(eta.pivot_pos)] = eta.pivot_val * t;
+  }
+  drain_ascending(out_bits_, x.index);
+  v.swap(out);
+}
+
+// Hypersparse BTRAN: the transposed etas as in the dense pass, then the Uᵀ
+// pass (column scatter, ascending steps) and the Lᵀ pass (row dots,
+// descending steps), each over the steps reached, as in ftran().
+void LuBasis::btran(IndexedVector& y) {
+  ARROW_CHECK(static_cast<int>(y.values.size()) == m_, "btran size mismatch");
+  std::vector<double>& v = y.values;  // position space
+  if (!etas_.empty()) {
+    for (int q : y.index) set_bit(out_bits_, q);
+    const int* pos = eta_pos_.data();
+    const double* val = eta_val_.data();
+    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+      const int pp = it->pivot_pos;
+      double s = it->pivot_val * v[static_cast<std::size_t>(pp)];
+      for (int k = it->start; k < it->end; ++k) {
+        s += val[k] * v[static_cast<std::size_t>(pos[k])];
+      }
+      if (!test_bit(out_bits_, pp)) {
+        if (s == 0.0) continue;
+        set_bit(out_bits_, pp);
+        y.index.push_back(pp);
+      }
+      v[static_cast<std::size_t>(pp)] = s;
+    }
+    for (int q : y.index) clear_bit(out_bits_, q);
+  }
+
+  for (int q : y.index) {
+    if (v[static_cast<std::size_t>(q)] != 0.0) {
+      set_bit(step_bits_, step_of_pos_[static_cast<std::size_t>(q)]);
+    }
+  }
+  std::vector<double>& z = zero_buf_;  // row space
+  steps_.clear();
+  sweep_up(step_bits_, [&](int k) {
+    steps_.push_back(k);
+    const double t =
+        v[static_cast<std::size_t>(pivot_col_[static_cast<std::size_t>(k)])] /
+        diag_[static_cast<std::size_t>(k)];
+    z[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] = t;
+    if (t == 0.0) return;
+    const int end = u_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = u_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      const int q = u_col_[static_cast<std::size_t>(e)];
+      v[static_cast<std::size_t>(q)] -= u_val_[static_cast<std::size_t>(e)] * t;
+      set_bit(step_bits_, step_of_pos_[static_cast<std::size_t>(q)]);
+    }
+  });
+  // Every nonzero of the position-space input lay on a position the Uᵀ
+  // pass visited or in the input index.
+  for (int q : y.index) v[static_cast<std::size_t>(q)] = 0.0;
+  for (int k : steps_) {
+    v[static_cast<std::size_t>(pivot_col_[static_cast<std::size_t>(k)])] = 0.0;
+  }
+
+  for (int k : steps_) {
+    const int row = pivot_row_[static_cast<std::size_t>(k)];
+    set_bit(out_bits_, row);
+    if (z[static_cast<std::size_t>(row)] != 0.0) set_bit(step_bits_, k);
+  }
+  sweep_down(step_bits_, [&](int k) {
+    const int row = pivot_row_[static_cast<std::size_t>(k)];
+    double s = z[static_cast<std::size_t>(row)];
+    bool changed = false;
+    const int end = l_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = l_start_[static_cast<std::size_t>(k)]; e < end; ++e) {
+      const double zr = z[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(e)])];
+      if (zr != 0.0) {
+        s -= l_val_[static_cast<std::size_t>(e)] * zr;
+        changed = true;
+      }
+    }
+    if (changed) z[static_cast<std::size_t>(row)] = s;
+    set_bit(out_bits_, row);
+    if (z[static_cast<std::size_t>(row)] == 0.0) return;
+    const int lend = lt_start_[static_cast<std::size_t>(k) + 1];
+    for (int e = lt_start_[static_cast<std::size_t>(k)]; e < lend; ++e) {
+      set_bit(step_bits_, lt_step_[static_cast<std::size_t>(e)]);
+    }
+  });
+  drain_ascending(out_bits_, y.index);
+  v.swap(z);
+}
+
+bool LuBasis::update(int position, const IndexedVector& w, double pivot_tol) {
   ARROW_CHECK(position >= 0 && position < m_, "update position out of range");
-  const double pivot_value = w[static_cast<std::size_t>(position)];
+  const double pivot_value = w.values[static_cast<std::size_t>(position)];
   if (std::abs(pivot_value) < pivot_tol) return false;
   Eta eta;
   eta.pivot_pos = position;
   const double inv = 1.0 / pivot_value;
   eta.pivot_val = inv;
   eta.start = static_cast<int>(eta_pos_.size());
-  for (int p = 0; p < m_; ++p) {
-    const double v = w[static_cast<std::size_t>(p)];
+  // Ascending positions: the transposed eta sums its terms in this order.
+  for (int p : w.index) {
+    const double v = w.values[static_cast<std::size_t>(p)];
     if (p != position && std::abs(v) > kDropTol) {
       eta_pos_.push_back(p);
       eta_val_.push_back(-v * inv);

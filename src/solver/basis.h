@@ -6,12 +6,19 @@
 // keep fill low (smallest active column, then smallest row count subject to
 // threshold partial pivoting). Update etas act in basis-position space.
 //
-// The pivot column comes off a lazily invalidated min-queue (O(log m) per
-// count change instead of an O(m) scan per step), singleton eliminations
-// filter the touched columns in place, and L/U live in flat arrays. The pivot
-// sequence and the order of every L/U entry are those of the original
+// The pivot column comes off a bitmap of the columns with at most one entry
+// or else a lazily invalidated min-queue (O(log m) per count change instead
+// of an O(m) scan per step), singleton eliminations cost O(1) per touched
+// column (tombstones plus position hints), and L/U live in flat arrays. The
+// pivot sequence and the order of every L/U entry are those of the original
 // O(m^2) column-scan elimination (kept as tests/lu_oracle.h), so FTRAN and
 // BTRAN results are bit-identical to it.
+//
+// Besides the dense solves there are hypersparse ones on IndexedVector:
+// they visit only the steps a right-hand side reaches through the L/U
+// structure, in step order, and cost what they touch plus a pass over m/64
+// bitmap words instead of O(m). Their nonzeros are bit-identical to the
+// dense solves' (docs/solver.md, "Hypersparse solves").
 #pragma once
 
 #include <cstddef>
@@ -22,6 +29,19 @@
 #include "solver/lp.h"
 
 namespace arrow::solver {
+
+// A length-m vector that knows where its nonzeros are: `values` is dense
+// and zero outside `index`, and `index` lists every nonzero position once
+// (it may also list positions whose value is zero).
+struct IndexedVector {
+  std::vector<double> values;
+  std::vector<int> index;
+
+  // Size m, all zero, empty index.
+  void reset(int m);
+  // Zeroes the listed entries and empties the index: O(|index|).
+  void clear();
+};
 
 class LuBasis {
  public:
@@ -39,9 +59,20 @@ class LuBasis {
   // Swaps y with an internal buffer, like ftran().
   void btran(std::vector<double>& y);
 
-  // Replaces the basis column at `position`; `w` must be ftran() of the
-  // entering column. Returns false if |w[position]| is below pivot_tol.
-  bool update(int position, const std::vector<double>& w, double pivot_tol);
+  // Hypersparse x := B^{-1} b. Input in row space (index in any order);
+  // output in basis-position space with an ascending index. Every nonzero
+  // is bit-identical to the dense ftran(); an entry the dense solve leaves
+  // at -0.0 may come back as +0.0. x.values must have size m.
+  void ftran(IndexedVector& x);
+
+  // Hypersparse y := B^{-T} c. Input in basis-position space; output in
+  // row space with an ascending index. Same contract as ftran(IndexedVector&).
+  void btran(IndexedVector& y);
+
+  // Replaces the basis column at `position`; `w` must be the hypersparse
+  // ftran() of the entering column (ascending index). Returns false if
+  // |w[position]| is below pivot_tol.
+  bool update(int position, const IndexedVector& w, double pivot_tol);
 
   int updates_since_factorize() const { return static_cast<int>(etas_.size()); }
   // Nonzeros in L + U + update etas: the per-ftran/btran work estimate.
@@ -66,16 +97,26 @@ class LuBasis {
   struct Workspace {
     // Active submatrix, column-wise. Entries of deactivated rows are
     // filtered on read; a column rewritten by an elimination holds only
-    // active rows with |value| > drop tolerance.
+    // active rows with |value| > drop tolerance. A singleton step leaves a
+    // clean column's entry in the pivot row in place as a tombstone (value
+    // 0, row inactive) instead of compacting the column.
     std::vector<std::vector<std::pair<int, double>>> cols;
-    // Columns per row: a superset of the columns holding an entry in that
-    // row (see the fill-in note in basis.cc).
-    std::vector<std::vector<int>> rows_cols;
+    // Per row: (column, position hint) for a superset of the columns
+    // holding an entry in that row (see the fill-in note in basis.cc). The
+    // hint is where the row's entry sat in cols[column] when it was listed;
+    // a rewrite of the column can make it stale, so it is checked on use.
+    std::vector<std::vector<std::pair<int, int>>> rows_cols;
+    // Column may hold an input entry with |value| <= drop tolerance in an
+    // active row ("dirty"); such a column is filtered in full by its first
+    // singleton step. Every rewrite leaves a column clean.
+    std::vector<char> col_dirty;
     std::vector<int> col_nnz;
     std::vector<int> row_nnz;
     std::vector<char> row_active;
     std::vector<char> col_active;
-    // Min-heap of (max(col_nnz, 1) << 32 | column) keys, lazily invalidated.
+    // Active columns with at most one entry, as a bitmap; the others as a
+    // min-heap of (col_nnz << 32 | column) keys, lazily invalidated.
+    std::vector<std::uint64_t> ready;
     std::vector<std::uint64_t> queue;
     std::vector<std::pair<int, double>> live;     // pivot column, active rows
     std::vector<std::pair<int, double>> rebuilt;  // next image of a column
@@ -86,6 +127,9 @@ class LuBasis {
 
   void apply_eta(const Eta& eta, std::vector<double>& w) const;
   void apply_eta_transposed(const Eta& eta, std::vector<double>& z) const;
+
+  // Builds step_of_row_/step_of_pos_ and the transposed L/U step graphs.
+  void build_reach_structure();
 
   int m_ = 0;
   // Elimination step k: pivot row/col and diagonal; its L multipliers are
@@ -106,6 +150,26 @@ class LuBasis {
   std::size_t lu_nnz_ = 0;
   std::size_t eta_nnz_ = 0;
   std::vector<double> solve_buf_;  // ftran/btran output, swapped with caller's
+
+  // Reach structure of the hypersparse solves, built by factorize(): the
+  // step of each pivot row and pivot position, and the two dependency
+  // graphs the row-dot passes follow, flat CSR over producing steps.
+  // ut: step k -> steps whose U row holds position pivot_col_[k];
+  // lt: step k -> steps whose L multipliers hold row pivot_row_[k].
+  std::vector<int> step_of_row_;
+  std::vector<int> step_of_pos_;
+  std::vector<int> ut_start_;
+  std::vector<int> ut_step_;
+  std::vector<int> lt_start_;
+  std::vector<int> lt_step_;
+  // Hypersparse workspace, reused across calls: the steps a pass visited,
+  // a step bitmap (all zero between passes), the result's index bitmap
+  // (all zero between calls), and an all-zero length-m buffer that is
+  // swapped with the caller's values.
+  std::vector<int> steps_;
+  std::vector<std::uint64_t> step_bits_;
+  std::vector<std::uint64_t> out_bits_;
+  std::vector<double> zero_buf_;
   Workspace work_;
 };
 

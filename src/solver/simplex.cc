@@ -24,9 +24,10 @@
 //    product-form updates, refreshed every `refactor_interval` pivots or
 //    when the eta file grows dense; each refresh also refreshes the
 //    maintained reduced costs, bounding incremental drift;
-//  * the ratio-test passes and the step update run over contiguous
-//    per-position arrays (xb_, lb_basic_, ub_basic_, w) with branchless
-//    inner loops so the compiler can auto-vectorize them;
+//  * the per-pivot solves (the entering column's FTRAN, the pivot row's
+//    BTRAN) are hypersparse and return their nonzero positions, so the
+//    ratio-test passes, the step update, the eta update and the pivot-row
+//    pass loop over those lists (ascending) instead of all m positions;
 //  * after `bland_threshold` consecutive degenerate pivots the pivot rule
 //    switches to Bland's rule until progress resumes.
 #include <algorithm>
@@ -457,8 +458,10 @@ class Simplex {
 
   LpStatus iterate(int phase) {
     int degenerate_streak = 0;
-    std::vector<double> w(static_cast<std::size_t>(m_));
-    std::vector<double> rho(static_cast<std::size_t>(m_));
+    IndexedVector w;  // entering column, B^{-1} A_q (position space)
+    IndexedVector rho;  // pivot row of B^{-1}, B^{-T} e_p (row space)
+    w.reset(m_);
+    rho.reset(m_);
     int stall_refactors = 0;
     const bool devex_score = opt_.pricing != Pricing::kDantzig;
     // Incremental reduced costs only work in phase 2: the phase-1 composite
@@ -541,14 +544,19 @@ class Simplex {
         return LpStatus::kOptimal;
       }
 
-      // FTRAN: w = B^{-1} A_entering (in basis-position space).
-      std::fill(w.begin(), w.end(), 0.0);
+      // FTRAN: w = B^{-1} A_entering (in basis-position space). The
+      // ratio test, the step and the eta update below loop over w's
+      // nonzero list only, in ascending position order.
+      w.clear();
       for (int k = lp_.a.col_start[entering];
            k < lp_.a.col_start[entering + 1]; ++k) {
-        w[static_cast<std::size_t>(lp_.a.row_index[k])] =
+        const int i = lp_.a.row_index[k];
+        w.values[static_cast<std::size_t>(i)] =
             lp_.a.value[static_cast<std::size_t>(k)];
+        w.index.push_back(i);
       }
       inv_.ftran(w);
+      const std::vector<double>& wv = w.values;
 
       // Ratio test. The entering variable moves by t >= 0 in direction
       // `dir`; basic variable at position p changes at rate -dir * w[p].
@@ -569,11 +577,12 @@ class Simplex {
       // Pass 1: tightest breakpoint.
       double min_ratio = kNone;
       if (phase == 2) {
-        // Branchless over the contiguous position arrays: an infinite target
-        // or a sub-tolerance pivot yields ratio = +inf, which never tightens
-        // the minimum — identical selection to the guarded loop.
-        for (int p = 0; p < m_; ++p) {
-          const double alpha = negdir * w[static_cast<std::size_t>(p)];
+        // Branchless over the nonzeros of w: an infinite target or a
+        // sub-tolerance pivot (a zero of w among them) yields ratio = +inf,
+        // which never tightens the minimum — identical selection to the
+        // guarded loop over every position.
+        for (int p : w.index) {
+          const double alpha = negdir * wv[static_cast<std::size_t>(p)];
           const double target = alpha > 0.0
                                     ? ub_basic_[static_cast<std::size_t>(p)]
                                     : lb_basic_[static_cast<std::size_t>(p)];
@@ -583,8 +592,8 @@ class Simplex {
           min_ratio = ratio < min_ratio ? ratio : min_ratio;
         }
       } else {
-        for (int p = 0; p < m_; ++p) {
-          const double alpha = negdir * w[static_cast<std::size_t>(p)];
+        for (int p : w.index) {
+          const double alpha = negdir * wv[static_cast<std::size_t>(p)];
           if (std::abs(alpha) < opt_.pivot_tol) continue;
           const double v = xb_[static_cast<std::size_t>(p)];
           const double lo = lb_basic_[static_cast<std::size_t>(p)];
@@ -616,13 +625,14 @@ class Simplex {
         }
       }
 
-      // Pass 2: among near-minimal breakpoints pick the largest pivot (or
-      // the lowest index under Bland's rule).
+      // Pass 2: among near-minimal breakpoints pick the largest pivot (the
+      // first position on ties, hence the ascending index) or the lowest
+      // variable index under Bland's rule.
       if (min_ratio < kNone) {
         const double cutoff = min_ratio + opt_.feas_tol;
         double best_pivot = 0.0;
-        for (int p = 0; p < m_; ++p) {
-          const double alpha = negdir * w[static_cast<std::size_t>(p)];
+        for (int p : w.index) {
+          const double alpha = negdir * wv[static_cast<std::size_t>(p)];
           if (std::abs(alpha) < opt_.pivot_tol) continue;
           const double v = xb_[static_cast<std::size_t>(p)];
           const double lo = lb_basic_[static_cast<std::size_t>(p)];
@@ -682,13 +692,13 @@ class Simplex {
       if (phase == 1) ++phase1_iterations_;
       degenerate_streak = step < 1e-10 ? degenerate_streak + 1 : 0;
 
-      // Apply the step to the basic values. Branchless axpy: positions with
-      // w == 0 add an exact +-0 and stay put.
+      // Apply the step to the basic values. Positions off w's list hold
+      // w == 0 and would only add an exact +-0.
       {
         const double scale = negdir * step;
-        for (int p = 0; p < m_; ++p) {
+        for (int p : w.index) {
           xb_[static_cast<std::size_t>(p)] +=
-              w[static_cast<std::size_t>(p)] * scale;
+              wv[static_cast<std::size_t>(p)] * scale;
         }
       }
 
@@ -716,18 +726,20 @@ class Simplex {
       const bool need_alpha = (inc_mode && dual_fresh) || weights;
       bool devex_reset = false;
       if (need_alpha) {
-        std::fill(rho.begin(), rho.end(), 0.0);
-        rho[static_cast<std::size_t>(leave_pos)] = 1.0;
+        rho.clear();
+        rho.values[static_cast<std::size_t>(leave_pos)] = 1.0;
+        rho.index.push_back(leave_pos);
         inv_.btran(rho);
-        const double alpha_q = w[static_cast<std::size_t>(leave_pos)];
+        const double alpha_q = wv[static_cast<std::size_t>(leave_pos)];
         const double wq = devex_w_[static_cast<std::size_t>(entering)];
         const double inv_aq2 = 1.0 / (alpha_q * alpha_q);
         const bool update_d = inc_mode && dual_fresh;
         const double theta_d =
             update_d ? d_[static_cast<std::size_t>(entering)] / alpha_q : 0.0;
         touched_.clear();
-        for (int i = 0; i < m_; ++i) {
-          const double ri = rho[static_cast<std::size_t>(i)];
+        // Rows in ascending order, so each alpha_j sums as the dense pass.
+        for (int i : rho.index) {
+          const double ri = rho.values[static_cast<std::size_t>(i)];
           if (ri == 0.0) continue;
           const int end = row_start_[static_cast<std::size_t>(i) + 1];
           for (int k = row_start_[static_cast<std::size_t>(i)]; k < end; ++k) {
@@ -779,9 +791,9 @@ class Simplex {
         // the incremental d updates applied above for a pivot that never
         // happened.)
         const double scale = negdir * step;
-        for (int p = 0; p < m_; ++p) {
+        for (int p : w.index) {
           xb_[static_cast<std::size_t>(p)] -=
-              w[static_cast<std::size_t>(p)] * scale;
+              wv[static_cast<std::size_t>(p)] * scale;
         }
         if (++stall_refactors > 3) return LpStatus::kNumericalError;
         if (!refactorize()) return LpStatus::kNumericalError;

@@ -59,6 +59,17 @@ std::vector<double> dense_solve(std::vector<std::vector<double>> a,
 using testing::LuOracle;
 using Column = LuOracle::Column;
 
+// The nonzeros of a dense vector as an IndexedVector (ascending index), the
+// form LuBasis::update takes.
+IndexedVector indexed(const std::vector<double>& dense) {
+  IndexedVector v;
+  v.values = dense;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    if (dense[i] != 0.0) v.index.push_back(static_cast<int>(i));
+  }
+  return v;
+}
+
 // CSC matrix whose column j is cols[j].
 SparseMatrix from_columns(int rows, const std::vector<Column>& cols) {
   SparseMatrix a;
@@ -197,7 +208,7 @@ TEST_P(LuBasisRandom, UpdateMatchesRefactorization) {
 
   std::vector<double> w = newcol;
   basis.ftran(w);
-  if (!basis.update(pos, w, 1e-8)) GTEST_SKIP() << "tiny pivot";
+  if (!basis.update(pos, indexed(w), 1e-8)) GTEST_SKIP() << "tiny pivot";
 
   auto modified = dense;
   for (int i = 0; i < n; ++i) {
@@ -277,6 +288,101 @@ void expect_same_solves(LuBasis& lu, LuOracle& oracle, int m, util::Rng& rng) {
   }
 }
 
+// Hypersparse result against the oracle's dense one: every entry compares
+// equal (a zero may differ in sign), every nonzero is bit-identical, and the
+// index is strictly ascending and lists every nonzero.
+void expect_matches_dense(const IndexedVector& got,
+                          const std::vector<double>& want, const char* what,
+                          int trial) {
+  ASSERT_EQ(got.values.size(), want.size()) << what << ", trial " << trial;
+  int unequal = 0;
+  int bit_diffs = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    unequal += got.values[i] == want[i] ? 0 : 1;
+    if (want[i] != 0.0) {
+      bit_diffs += std::bit_cast<std::uint64_t>(got.values[i]) !=
+                           std::bit_cast<std::uint64_t>(want[i])
+                       ? 1
+                       : 0;
+    }
+  }
+  EXPECT_EQ(unequal, 0) << what << ", trial " << trial;
+  EXPECT_EQ(bit_diffs, 0) << what << ", trial " << trial;
+  std::vector<char> listed(want.size(), 0);
+  for (std::size_t k = 0; k < got.index.size(); ++k) {
+    const int i = got.index[k];
+    ASSERT_TRUE(i >= 0 && i < static_cast<int>(want.size()))
+        << what << ", trial " << trial;
+    if (k > 0) {
+      EXPECT_LT(got.index[k - 1], i) << what << ": index not ascending";
+    }
+    listed[static_cast<std::size_t>(i)] = 1;
+  }
+  int unlisted = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    unlisted += got.values[i] != 0.0 && !listed[i] ? 1 : 0;
+  }
+  EXPECT_EQ(unlisted, 0) << what << ", trial " << trial;
+}
+
+// Hypersparse FTRAN of columns of `a` (the entering-column shape) and of
+// sparse random vectors, and hypersparse BTRAN of unit vectors (the pivot-
+// row shape) and sparse random vectors, through LuBasis and through the
+// dense oracle. One IndexedVector is reused across all calls, as the simplex
+// does, so a leftover nonzero in a swapped buffer would show.
+void expect_same_sparse_solves(LuBasis& lu, const LuOracle& oracle,
+                               const SparseMatrix& a, util::Rng& rng) {
+  const int m = a.rows;
+  IndexedVector v;
+  v.reset(m);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<double> dense(static_cast<std::size_t>(m), 0.0);
+    v.clear();
+    if (trial < 4) {
+      const int j = rng.uniform_int(0, a.cols - 1);
+      for (int k = a.col_start[static_cast<std::size_t>(j)];
+           k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+        const int r = a.row_index[static_cast<std::size_t>(k)];
+        dense[static_cast<std::size_t>(r)] = a.value[static_cast<std::size_t>(k)];
+      }
+    } else {
+      for (double& x : dense) {
+        x = rng.bernoulli(0.1) ? rng.uniform(-4.0, 4.0) : 0.0;
+      }
+    }
+    for (int i = 0; i < m; ++i) {
+      if (dense[static_cast<std::size_t>(i)] != 0.0) {
+        v.values[static_cast<std::size_t>(i)] = dense[static_cast<std::size_t>(i)];
+        v.index.push_back(i);
+      }
+    }
+    oracle.ftran(dense);
+    lu.ftran(v);
+    expect_matches_dense(v, dense, "sparse ftran", trial);
+
+    std::fill(dense.begin(), dense.end(), 0.0);
+    v.clear();
+    if (trial < 4) {
+      const int p = rng.uniform_int(0, m - 1);
+      dense[static_cast<std::size_t>(p)] = 1.0;
+      v.values[static_cast<std::size_t>(p)] = 1.0;
+      v.index.push_back(p);
+    } else {
+      for (int i = 0; i < m; ++i) {
+        if (rng.bernoulli(0.1)) {
+          const double x = rng.uniform(-4.0, 4.0);
+          dense[static_cast<std::size_t>(i)] = x;
+          v.values[static_cast<std::size_t>(i)] = x;
+          v.index.push_back(i);
+        }
+      }
+    }
+    oracle.btran(dense);
+    lu.btran(v);
+    expect_matches_dense(v, dense, "sparse btran", trial);
+  }
+}
+
 // Factorizes the basis (position p = column positions[p] of a) with LuBasis
 // and with the oracle and requires the same outcome: success flag, factor
 // and work nnz, bit-identical solves — straight after the factorization and
@@ -294,6 +400,8 @@ void expect_same_as_oracle(const SparseMatrix& a,
   if (!ok) return;
   util::Rng rng(seed);
   expect_same_solves(lu, oracle, m, rng);
+  util::Rng sparse_rng(seed ^ 0x5eed);
+  expect_same_sparse_solves(lu, oracle, a, sparse_rng);
   for (int u = 0; u < updates; ++u) {
     std::vector<double> w(static_cast<std::size_t>(m), 0.0);
     const int j = rng.uniform_int(0, a.cols - 1);
@@ -313,12 +421,30 @@ void expect_same_as_oracle(const SparseMatrix& a,
         pos = p;
       }
     }
-    const bool up = lu.update(pos, w, kPivotTol);
+    // The simplex's path: hypersparse FTRAN of the entering column, then an
+    // eta from its index. It must build the same eta as the dense one.
+    IndexedVector ws;
+    ws.reset(m);
+    for (int k = a.col_start[static_cast<std::size_t>(j)];
+         k < a.col_start[static_cast<std::size_t>(j) + 1]; ++k) {
+      const int r = a.row_index[static_cast<std::size_t>(k)];
+      ws.values[static_cast<std::size_t>(r)] = a.value[static_cast<std::size_t>(k)];
+      ws.index.push_back(r);
+    }
+    LuBasis lu_sparse = lu;
+    lu_sparse.ftran(ws);
+    expect_matches_dense(ws, w_ref, "entering column", u);
+    const bool up = lu.update(pos, indexed(w), kPivotTol);
     ASSERT_EQ(up, oracle.update(pos, w_ref, kPivotTol));
+    ASSERT_EQ(up, lu_sparse.update(pos, ws, kPivotTol));
     if (!up) return;
     EXPECT_EQ(lu.updates_since_factorize(), oracle.updates_since_factorize());
     EXPECT_EQ(lu.work_nnz(), oracle.work_nnz());
+    EXPECT_EQ(lu_sparse.work_nnz(), oracle.work_nnz());
     expect_same_solves(lu, oracle, m, rng);
+    util::Rng copy_rng(seed + static_cast<std::uint64_t>(u));
+    expect_same_solves(lu_sparse, oracle, m, copy_rng);
+    expect_same_sparse_solves(lu, oracle, a, sparse_rng);
   }
 }
 
@@ -474,6 +600,90 @@ TEST(LuBasisOracle, FillCancelRefillVisitsColumnOnce) {
     lu.ftran(x);
     const auto x_ref = dense_solve(dense, b);
     for (int i = 0; i < 5; ++i) {
+      EXPECT_NEAR(x[static_cast<std::size_t>(i)],
+                  x_ref[static_cast<std::size_t>(i)], 1e-9);
+    }
+  }
+}
+
+// The lazy singleton elimination in LuBasis::factorize leaves a clean
+// column's pivot-row entry in place as a zero tombstone and finds a row's
+// entry through a position hint that a rewrite can make stale. Each matrix
+// below drives one of those paths; the comments give the elimination order
+// (column popped -> pivot row).
+TEST(LuBasisOracle, LazyEliminationCasesMatchBitForBit) {
+  struct Case {
+    const char* name;
+    int m;
+    std::vector<Column> cols;
+  };
+  const std::vector<Case> cases = {
+      // c0 -> r0 skips c3 (its row-0 entry is tiny, c3 stays dirty);
+      // c1 -> r1 filters dirty c3 in full (drops the stale row-0 entry and
+      // the tiny row-4 one); c2 -> r2 then tombstones the now clean c3, and
+      // c3 -> r3 pivots past that tombstone and tombstones c4.
+      {"dirty column touched by several singleton steps",
+       5,
+       {{{0, 1.0}},
+        {{1, 1.0}},
+        {{2, 1.0}},
+        {{0, 1e-13}, {1, 2.0}, {2, 3.0}, {3, 4.0}, {4, 1e-13}},
+        {{3, 1.0}, {4, 1.0}}}},
+      // Steps 0-2 (c0 -> r0, c1 -> r1, c2 -> r2) fill c4 at row 3, cancel
+      // it and refill it, so row 3's list names c4 twice. Step 3 (c3 -> r3;
+      // its row-4 entry is tiny, so no multipliers) tombstones c4's clean
+      // row-3 entry on the first visit; the second visit's hint, taken at
+      // the refill, lands on that zero and must do nothing.
+      {"duplicate visit after a tombstone",
+       5,
+       {{{0, 1.0}, {3, 1.0}},
+        {{1, 1.0}, {3, 1.0}},
+        {{2, 1.0}, {3, 1.0}},
+        {{3, 1.0}, {4, 1e-13}},
+        {{0, 1.0}, {1, -1.0}, {2, 1.0}, {4, 1.0}}}},
+      // c0 -> r0 tombstones c2's row-0 entry; c1 -> r1 has a multiplier
+      // (row 2), so c2 is rebuilt through the accumulator with the
+      // tombstone still in it. The rebuild moves c2's row-2/3/4 entries
+      // to slots 0-2, so row 2's hint (slot 2) now points at row 4's entry
+      // and the next step must notice and scan.
+      {"multiplier step on a tombstoned column, stale hint after it",
+       5,
+       {{{0, 1.0}},
+        {{1, 2.0}, {2, 1.0}},
+        {{0, 1.0}, {1, 1.0}, {2, 3.0}, {3, 1.0}, {4, 1.0}},
+        {{2, 1.0}, {3, 2.0}},
+        {{3, 1.0}, {4, 3.0}}}},
+      // The same with the dirty filter as the rewrite: c0 -> r0 filters
+      // dirty c2 (tiny row-4 entry), moving its rows 1-3 down one slot, so
+      // row 1's hint (slot 1) points at row 2's entry when c1 -> r1.
+      {"stale hint after a dirty filter",
+       5,
+       {{{0, 1.0}},
+        {{1, 1.0}, {4, 2.0}},
+        {{0, 2.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}, {4, 1e-13}},
+        {{2, 1.0}, {3, 1.0}, {4, 1.0}},
+        {{3, 1.0}, {4, 1.0}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SparseMatrix a = from_columns(c.m, c.cols);
+    expect_same_as_oracle(a, identity_positions(c.m), 13, 3);
+    std::vector<std::vector<double>> dense(
+        static_cast<std::size_t>(c.m),
+        std::vector<double>(static_cast<std::size_t>(c.m), 0.0));
+    for (int j = 0; j < c.m; ++j) {
+      for (const auto& [r, v] : c.cols[static_cast<std::size_t>(j)]) {
+        dense[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] = v;
+      }
+    }
+    LuBasis lu;
+    ASSERT_TRUE(lu.factorize(a, identity_positions(c.m), kPivotTol));
+    std::vector<double> b(static_cast<std::size_t>(c.m));
+    for (int i = 0; i < c.m; ++i) b[static_cast<std::size_t>(i)] = 1.0 + i;
+    std::vector<double> x = b;
+    lu.ftran(x);
+    const auto x_ref = dense_solve(dense, b);
+    for (int i = 0; i < c.m; ++i) {
       EXPECT_NEAR(x[static_cast<std::size_t>(i)],
                   x_ref[static_cast<std::size_t>(i)], 1e-9);
     }

@@ -401,6 +401,44 @@ TEST(RunReport, FromJsonRejectsWrongVersionAndGarbage) {
   EXPECT_EQ(out.te_runs, 99);
 }
 
+// docs/observability.md documents the RunReport schema; it must name the
+// version to_json() writes and every key it emits, so the doc cannot fall
+// behind a version bump again.
+TEST(RunReport, ObservabilityDocMatchesTheSchema) {
+  std::ifstream in(ARROW_OBSERVABILITY_DOC);
+  ASSERT_TRUE(in) << "cannot read " << ARROW_OBSERVABILITY_DOC;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string doc = buf.str();
+
+  const std::string heading = "## RunReport schema (version ";
+  const auto at = doc.find(heading);
+  ASSERT_NE(at, std::string::npos) << "no schema heading in the doc";
+  EXPECT_EQ(std::atoi(doc.c_str() + at + heading.size()),
+            obs::RunReport::kVersion);
+  EXPECT_NE(doc.find("\"version\": " +
+                     std::to_string(obs::RunReport::kVersion) + ","),
+            std::string::npos)
+      << "the doc's example carries another version";
+
+  obs::RunReport report;
+  report.ladder = {{"primary", 1}};  // so the ladder object has a key
+  obs::JsonValue root;
+  ASSERT_TRUE(obs::json_parse(report.to_json(), &root));
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : root.object) {
+    keys.push_back(key);
+    if (value.is_object()) {
+      for (const auto& [inner, unused] : value.object) keys.push_back(inner);
+    }
+  }
+  ASSERT_GT(keys.size(), 30u);
+  for (const std::string& key : keys) {
+    EXPECT_NE(doc.find("\"" + key + "\""), std::string::npos)
+        << "RunReport key \"" << key << "\" is not documented";
+  }
+}
+
 TEST(RunReport, EmitRunArtifactsWritesEverythingEnabled) {
   const std::string dir = ::testing::TempDir();
   obs::ObsConfig cfg;

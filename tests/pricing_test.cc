@@ -7,7 +7,12 @@
 // pipeline produces, not synthetic toys. kDantzig is the oracle: it keeps
 // no incremental state, so agreement with it validates the maintained
 // reduced costs of kIncremental/kPartial and the Devex weights.
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,6 +94,88 @@ TEST_F(PricingCorpus, AllPricingModesReachTheSameOptimum) {
           << "lp " << i << " pricing " << static_cast<int>(p);
     }
   }
+}
+
+// Pivot-sequence pin. The basis kernels (FTRAN/BTRAN, eta updates, LU
+// refactorization) may change how they reach a result, never the result:
+// every corpus LP must take exactly the pivots, phase-1 pivots and
+// refactorizations it took when these constants were recorded, and land on
+// the bit-identical objective. The variants cover every pricing mode, the
+// unpresolved LP, and a warm re-solve after a demand change (the serve-tick
+// shape: phase 1 from a primal-infeasible basis, then phase 2).
+struct PivotPin {
+  int iterations;
+  int phase1_iterations;
+  int refactorizations;
+  std::uint64_t objective_bits;
+};
+
+constexpr int kPinVariants = 6;
+
+// Rows: corpus LP. Columns: kDantzig, kDevex, kIncremental, kPartial,
+// kIncremental without presolve, warm kIncremental re-solve at 0.8x rhs.
+constexpr PivotPin kPivotPins[][kPinVariants] = {
+    {{551, 0, 9, 0xc0bec3159a50a91a},
+     {522, 0, 9, 0xc0bec3159a50a917},
+     {498, 0, 8, 0xc0bec3159a50a918},
+     {567, 0, 9, 0xc0bec3159a50a918},
+     {498, 0, 8, 0xc0bec3159a50a918},
+     {152, 63, 3, 0xc0bcf697455e4bd9}},
+    {{351, 0, 6, 0xc0b867d5978dbeda},
+     {344, 0, 6, 0xc0b867d5978dbed8},
+     {337, 0, 6, 0xc0b867d5978dbed8},
+     {335, 0, 6, 0xc0b867d5978dbed9},
+     {337, 0, 6, 0xc0b867d5978dbed8},
+     {62, 46, 1, 0xc0b57a66e7780227}},
+};
+
+LpSolution solve_pin_variant(const Lp& lp, int variant) {
+  constexpr Pricing kModes[] = {Pricing::kDantzig, Pricing::kDevex,
+                                Pricing::kIncremental, Pricing::kPartial};
+  SimplexOptions opt;
+  if (variant < 4) {
+    opt.pricing = kModes[variant];
+    return solve_lp(lp, opt);
+  }
+  if (variant == 4) {
+    opt.presolve = false;
+    return solve_lp(lp, opt);
+  }
+  const LpSolution cold = solve_lp(lp, opt);
+  Lp shifted = lp;
+  for (double& r : shifted.rhs) r *= 0.8;
+  return solve_lp(shifted, opt, &cold.basis);
+}
+
+TEST_F(PricingCorpus, PivotSequencesMatchTheRecordedPins) {
+  const std::size_t pinned = sizeof(kPivotPins) / sizeof(kPivotPins[0]);
+  EXPECT_EQ(corpus_->size(), pinned);
+  bool all_match = corpus_->size() == pinned;
+  std::string actual;
+  for (std::size_t i = 0; i < corpus_->size(); ++i) {
+    actual += "    {";
+    for (int v = 0; v < kPinVariants; ++v) {
+      const LpSolution sol = solve_pin_variant((*corpus_)[i], v);
+      ASSERT_EQ(sol.status, LpStatus::kOptimal) << "lp " << i;
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &sol.objective, sizeof(bits));
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "{%d, %d, %d, 0x%016" PRIx64 "}",
+                    sol.iterations, sol.phase1_iterations,
+                    sol.refactorizations, bits);
+      actual += buf;
+      actual += v + 1 < kPinVariants ? ",\n     " : "},\n";
+      if (i >= pinned) continue;
+      const PivotPin& pin = kPivotPins[i][v];
+      const bool match = sol.iterations == pin.iterations &&
+                         sol.phase1_iterations == pin.phase1_iterations &&
+                         sol.refactorizations == pin.refactorizations &&
+                         bits == pin.objective_bits;
+      EXPECT_TRUE(match) << "lp " << i << " variant " << v << ": got " << buf;
+      all_match = all_match && match;
+    }
+  }
+  if (!all_match) std::printf("actual pins:\n%s", actual.c_str());
 }
 
 TEST_F(PricingCorpus, PartialPricingDoesLessWorkThanDantzig) {
