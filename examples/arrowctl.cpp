@@ -15,17 +15,20 @@
 //       localized repair are scored with their cut-time repairs applied.
 //       --obs records trace spans and writes trace_te.json +
 //       metrics_te.{prom,json} into <dir>
-//   arrowctl run <net.topo> <traffic.tm> [--journal <dir>] [--budget <s>]
-//                [--horizon <s>] [--cuts-per-day <n>] [--obs <dir>]
-//       run the event-driven WAN controller: deadline-enforced TE periods,
-//       sampled fiber cuts, optical restoration. With --journal the run is
-//       crash-consistent (and recovers a previous run's last-good plan);
+//   arrowctl run <net.topo> <traffic.tm> [--scheme <name>] [--journal <dir>]
+//                [--budget <s>] [--horizon <s>] [--cuts-per-day <n>]
+//                [--obs <dir>]
+//       run the event-driven WAN controller for one registry scheme
+//       (default ARROW): deadline-enforced TE periods, sampled fiber cuts,
+//       optical restoration. With --journal the run is crash-consistent
+//       (and recovers a previous run's last-good plan);
 //       SIGTERM/SIGINT drain gracefully — the journal and final RunReport
 //       are flushed before exit.
 //   arrowctl serve (--socket <path> | --port <n>) [--topo <net.topo>]
 //                  [--scheme <name>] [--budget <s>] [--journal <dir>]
 //                  [--basis <dir>] [--obs <dir>]
-//       resident controller daemon: newline-delimited JSON requests
+//       resident controller daemon (--scheme takes a registry name, as for
+//       run): newline-delimited JSON requests
 //       (topology updates, traffic ticks, fiber cuts/repairs, queries) on a
 //       Unix or loopback TCP socket, plus "GET /metrics" and "GET /report"
 //       HTTP scrapes on the same socket. Protocol and SLO counters are
@@ -46,7 +49,6 @@
 #include "obs/metrics.h"
 #include "schemes/scheme.h"
 #include "serve/engine.h"
-#include "serve/protocol.h"
 #include "serve/server.h"
 #include "obs/trace.h"
 #include "optical/latency.h"
@@ -73,8 +75,8 @@ int usage() {
       "       arrowctl latency <net.topo> <fiber_id> [--legacy]\n"
       "       arrowctl te <net.topo> <traffic.tm> [scale]\n"
       "                    [--schemes a,b,c] [--obs <dir>]\n"
-      "       arrowctl run <net.topo> <traffic.tm> [--journal <dir>]\n"
-      "                    [--budget <s>] [--horizon <s>]\n"
+      "       arrowctl run <net.topo> <traffic.tm> [--scheme <name>]\n"
+      "                    [--journal <dir>] [--budget <s>] [--horizon <s>]\n"
       "                    [--cuts-per-day <n>] [--obs <dir>]\n"
       "       arrowctl serve (--socket <path> | --port <n>)\n"
       "                    [--topo <net.topo>] [--scheme <name>]\n"
@@ -167,23 +169,28 @@ int cmd_latency(int argc, char** argv) {
   return 0;
 }
 
+// Validates a --scheme value against the registry; on an unknown name
+// prints the registry's diagnostic (which lists the registered names).
+bool valid_scheme(const char* cmd, const std::string& name) {
+  const auto& registry = schemes::Registry::global();
+  if (registry.contains(name)) return true;
+  std::fprintf(stderr, "arrowctl %s: %s\n", cmd,
+               registry.unknown_message(name).c_str());
+  return false;
+}
+
 // Splits a comma-separated --schemes value and validates every name against
 // the registry, so a typo fails with the registered names instead of an LP
 // trace.
 bool parse_scheme_list(const std::string& arg,
                        std::vector<std::string>* out) {
-  const auto& registry = schemes::Registry::global();
   std::size_t start = 0;
   while (start <= arg.size()) {
     std::size_t comma = arg.find(',', start);
     if (comma == std::string::npos) comma = arg.size();
     const std::string name = arg.substr(start, comma - start);
     if (!name.empty()) {
-      if (!registry.contains(name)) {
-        std::fprintf(stderr, "arrowctl te: %s\n",
-                     registry.unknown_message(name).c_str());
-        return false;
-      }
+      if (!valid_scheme("te", name)) return false;
       out->push_back(name);
     }
     start = comma + 1;
@@ -302,7 +309,6 @@ int cmd_run(int argc, char** argv) {
   const auto tm = topo::load_traffic_file(argv[3]);
 
   ctrl::ControllerConfig config;
-  config.scheme = ctrl::Scheme::kArrow;
   config.horizon_s = 2.0 * 3600.0;
   config.te_interval_s = 600.0;
   config.tunnels.tunnels_per_flow = 4;
@@ -317,7 +323,11 @@ int cmd_run(int argc, char** argv) {
       }
       return true;
     };
-    if (std::strcmp(argv[i], "--journal") == 0) {
+    if (std::strcmp(argv[i], "--scheme") == 0) {
+      if (!want_value("--scheme")) return usage();
+      config.scheme = argv[++i];
+      if (!valid_scheme("run", config.scheme)) return 2;
+    } else if (std::strcmp(argv[i], "--journal") == 0) {
       if (!want_value("--journal")) return usage();
       config.journal_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--budget") == 0) {
@@ -348,10 +358,10 @@ int cmd_run(int argc, char** argv) {
   util::Rng rng(42);
   auto failures =
       ctrl::sample_failure_trace(net, config.horizon_s, cuts_per_day, rng);
-  std::printf("controller: horizon %.0fs, TE every %.0fs (budget %.0fs), "
-              "%zu cuts%s%s\n",
-              config.horizon_s, config.te_interval_s, config.te_budget_s,
-              failures.size(),
+  std::printf("controller: scheme %s, horizon %.0fs, TE every %.0fs "
+              "(budget %.0fs), %zu cuts%s%s\n",
+              config.scheme.c_str(), config.horizon_s, config.te_interval_s,
+              config.te_budget_s, failures.size(),
               config.journal_dir.empty() ? "" : ", journal ",
               config.journal_dir.c_str());
 
@@ -403,10 +413,8 @@ int cmd_serve(int argc, char** argv) {
       topo_path = argv[++i];
     } else if (std::strcmp(argv[i], "--scheme") == 0) {
       if (!want_value("--scheme")) return usage();
-      if (!serve::scheme_from_string(argv[++i], &config.ctrl.scheme)) {
-        std::fprintf(stderr, "arrowctl serve: unknown scheme %s\n", argv[i]);
-        return usage();
-      }
+      config.ctrl.scheme = argv[++i];
+      if (!valid_scheme("serve", config.ctrl.scheme)) return 2;
     } else if (std::strcmp(argv[i], "--budget") == 0) {
       if (!want_value("--budget")) return usage();
       config.ctrl.te_budget_s = std::atof(argv[++i]);
@@ -428,10 +436,10 @@ int cmd_serve(int argc, char** argv) {
   if (socket_path.empty() && port < 0) return usage();
 
   // Startup capability log: which cut fast path this daemon will take.
-  const auto caps = schemes::Registry::global().capabilities(
-      ctrl::to_string(config.ctrl.scheme));
+  const auto caps =
+      schemes::Registry::global().capabilities(config.ctrl.scheme);
   std::printf("scheme %s: optical restoration %s, local repair %s\n",
-              ctrl::to_string(config.ctrl.scheme),
+              config.ctrl.scheme.c_str(),
               caps.restores_optically ? "on" : "off",
               caps.supports_local_repair ? "on (cut fast path active)"
                                          : "off");

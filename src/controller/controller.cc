@@ -1,43 +1,21 @@
 #include "controller/controller.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <set>
 
-#include "controller/journal.h"
-#include "controller/ladder.h"
+#include "controller/core.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optical/event_sim.h"
 #include "optical/rwa.h"
 #include "sim/availability.h"
-#include "solver/basis_store.h"
-#include "solver/lp.h"
-#include "te/basic.h"
 #include "topo/network.h"
 #include "ticket/ticket.h"
 #include "util/check.h"
-#include "util/clock.h"
-#include "util/deadline.h"
-#include "util/parallel.h"
-#include "util/stats.h"
 
 namespace arrow::ctrl {
-
-const char* to_string(Scheme s) {
-  switch (s) {
-    case Scheme::kArrow: return "ARROW";
-    case Scheme::kArrowNaive: return "ARROW-Naive";
-    case Scheme::kFfc1: return "FFC-1";
-    case Scheme::kTeaVar: return "TeaVaR";
-    case Scheme::kEcmp: return "ECMP";
-    case Scheme::kReWeave: return "ReWeave-Local";
-  }
-  return "unknown";
-}
 
 const char* to_string(Rung r) {
   switch (r) {
@@ -111,263 +89,28 @@ ControllerReport run_controller(const topo::Network& net,
   }
   const auto scenarios = scenario::remove_disconnecting(net, std::move(raw));
 
-  // Persistent warm starts (opt-in): seed a scoped cache from the store's
-  // bases for this exact (topology, scenario set) before any solve, absorb
-  // the run's final bases back just before returning. The hashes key on
-  // structure, not demands, so runs over different traffic matrices share
-  // vertices as long as the network and scenario set match. A basis
-  // directory (config field, else ARROW_BASIS_DIR) extends the store across
-  // processes: load its file before seeding, save after absorbing. With no
-  // in-process store configured the disk file gets a run-local one.
-  std::string basis_dir = config.basis_dir;
-  if (basis_dir.empty()) {
-    if (const char* env = std::getenv("ARROW_BASIS_DIR")) basis_dir = env;
-  }
-  std::optional<solver::BasisStore> run_local_store;
-  solver::BasisStore* store = config.basis_store;
-  if (store == nullptr && !basis_dir.empty()) {
-    run_local_store.emplace();
-    store = &*run_local_store;
-  }
-  // Crash-consistency journal (opt-in, like the basis store): config field,
-  // else ARROW_JOURNAL_DIR.
-  std::string journal_dir = config.journal_dir;
-  if (journal_dir.empty()) {
-    if (const char* env = std::getenv("ARROW_JOURNAL_DIR")) journal_dir = env;
-  }
-
-  std::uint64_t topo_h = 0;
-  std::uint64_t scen_h = 0;
-  if (store != nullptr || !journal_dir.empty()) {
-    topo_h = topo::structure_hash(net);
-    scen_h = scenario::set_hash(scenarios);
-  }
-  std::optional<solver::ScopedWarmStartCache> warm;
-  if (store != nullptr) {
-    if (!basis_dir.empty()) {
-      store->load(solver::BasisStore::file_in(basis_dir));  // false = cold
-    }
-    warm.emplace();
-    report.basis_seeded = store->seed(topo_h, scen_h, *warm);
-  }
-
   std::vector<te::TeInput> inputs;
   inputs.reserve(tms.size());
   for (const auto& tm : tms) {
     inputs.emplace_back(net, tm, scenarios, config.tunnels);
   }
+  // Store, journal, calibration and the offline stage (core.h). The core
+  // scales the first matrix; the rest follow with the same factor.
+  PlanningCore core(config, inputs.front(), rng, report);
+  for (std::size_t m = 1; m < inputs.size(); ++m) {
+    inputs[m].scale_demands(core.demand_factor());
+  }
+  const bool restores = core.restores();
+  const te::ArrowPrepared& prepared = core.prepared();
 
-  // Journal recovery + write-ahead in-flight marker. A journaled plan is
-  // adopted as the ladder's initial last-good solution only when it was
-  // written for this exact network structure and scenario set AND its shape
-  // matches this run's flow/tunnel layout — anything else is a cold start.
-  // The marker write happens before any solve: a crash from here on leaves
-  // in_flight set, which the next process (and the chaos drills) can see.
-  std::optional<StateJournal> journal;
-  std::optional<te::TeSolution> recovered;
-  if (!journal_dir.empty()) {
-    journal.emplace(StateJournal::file_in(journal_dir));
-    JournalState prior = journal->load();
-    report.journal_prior_in_flight = prior.in_flight;
-    if (prior.has_plan && prior.topo_hash == topo_h &&
-        prior.scenario_hash == scen_h) {
-      const auto& tunnels = inputs.front().tunnels();
-      bool shape_ok =
-          prior.plan.alloc.size() == tunnels.size() &&
-          prior.plan.admitted.size() == tunnels.size();
-      for (std::size_t f = 0; shape_ok && f < tunnels.size(); ++f) {
-        shape_ok = prior.plan.alloc[f].size() == tunnels[f].size();
-      }
-      if (shape_ok) {
-        te::TeSolution sol;
-        sol.scheme = "Journal(" + prior.plan.scheme + ")";
-        sol.optimal = true;  // was a real plan for this exact structure
-        sol.admitted = prior.plan.admitted;
-        sol.alloc = prior.plan.alloc;
-        recovered = std::move(sol);
-        report.journal_recovered = true;
-        obs::Registry::global()
-            .counter("arrow_journal_recoveries_total")
-            .add();
-      }
-    }
-    if (!report.journal_recovered) {
-      // Do not carry a plan we did not adopt: begin_run stamps OUR hashes
-      // into the journal, and a stale foreign plan under them would be
-      // trusted (wrongly) by the next recovery.
-      prior.has_plan = false;
-      prior.plan = JournalPlan{};
-    }
-    journal->reset(std::move(prior));
-    journal->begin_run(obs_cfg.run_id, topo_h, scen_h);
-  }
-  // Calibration gets its own two-rung ladder: the LP, the LP under relaxed
-  // solver settings, then the closed-form ECMP bound (conservative but
-  // fault-immune). A faulted calibration must not take the controller down.
-  bool calib_ok = true;
-  double calibration = te::max_satisfiable_scale(inputs.front(), &calib_ok);
-  if (!calib_ok) {
-    solver::ScopedSimplexOverride relax(relaxed_simplex_options());
-    calibration = te::max_satisfiable_scale(inputs.front(), &calib_ok);
-  }
-  if (!calib_ok) {
-    calibration = te::ecmp_satisfiable_scale(inputs.front());
-    report.calibration_degraded = true;
-  }
-  for (auto& input : inputs) {
-    input.scale_demands(calibration * config.demand_scale);
-  }
-
-  const bool restores = config.scheme == Scheme::kArrow ||
-                        config.scheme == Scheme::kArrowNaive;
-  // The solver's ambient hooks are thread-local: work fanned onto pool
-  // workers would escape an active fault injector or options override. When
-  // either hook is live (a fault drill wrapping run_controller), the offline
-  // stage runs inline on this thread — slower, but every solve stays under
-  // the hook and the drill's injection schedule stays deterministic.
-  util::ThreadPool inline_pool(1);
-  util::ThreadPool& pool = (solver::ScopedSolveObserver::active() != nullptr ||
-                            solver::ScopedSimplexOverride::active() != nullptr)
-                               ? inline_pool
-                               : util::global_pool();
-  te::ArrowPrepared prepared;
-  if (restores) {
-    prepared = te::prepare_arrow(inputs.front(), config.arrow, rng, pool);
-    // A solver fault inside one scenario's RWA silently strips that
-    // scenario's restoration capacity (its tickets carry zero waves), so
-    // failed scenarios are re-solved individually — relaxed solver settings
-    // from the second attempt on — before the controller relies on them.
-    // The base for the retry streams is drawn whether or not anything
-    // failed, so the rng trajectory downstream does not depend on how many
-    // scenarios a fault happened to hit; attempt streams are counter-seeded
-    // per (scenario, attempt), so repairs of different scenarios can run on
-    // the pool concurrently and still reproduce bit-for-bit.
-    constexpr int kRwaRetries = 5;
-    const std::uint64_t repair_base = rng.next_u64();
-    // Backoff streams are per scenario (counter-seeded like the retry
-    // streams), drawn unconditionally for the same reason. Sleeps are real
-    // time on the worker running that scenario's repairs — concurrent
-    // repairs back off independently.
-    const std::uint64_t rwa_backoff_base = rng.next_u64();
-    std::atomic<int> rwa_backoff_retries{0};
-    std::vector<int> failed;
-    for (std::size_t q = 0; q < prepared.rwa.size(); ++q) {
-      if (!prepared.rwa[q].optimal) failed.push_back(static_cast<int>(q));
-    }
-    std::vector<char> repaired(failed.size(), 0);
-    pool.parallel_for(0, static_cast<int>(failed.size()), [&](int i) {
-      const int q = failed[static_cast<std::size_t>(i)];
-      auto* rwa = &prepared.rwa[static_cast<std::size_t>(q)];
-      auto* tickets = &prepared.tickets[static_cast<std::size_t>(q)];
-      util::Backoff backoff(
-          config.retry_backoff,
-          util::Rng::stream_seed(rwa_backoff_base,
-                                 static_cast<std::uint64_t>(q)));
-      for (int attempt = 0; attempt < kRwaRetries; ++attempt) {
-        if (attempt > 0 && backoff.sleep() > 0.0) {
-          rwa_backoff_retries.fetch_add(1, std::memory_order_relaxed);
-        }
-        util::Rng retry_rng(util::Rng::stream_seed(
-            repair_base,
-            static_cast<std::uint64_t>(q) * kRwaRetries +
-                static_cast<std::uint64_t>(attempt)));
-        if (attempt == 0) {
-          te::prepare_arrow_scenario(inputs.front(), q, config.arrow,
-                                     retry_rng, rwa, tickets);
-        } else {
-          solver::ScopedSimplexOverride relax(relaxed_simplex_options());
-          te::prepare_arrow_scenario(inputs.front(), q, config.arrow,
-                                     retry_rng, rwa, tickets);
-        }
-        if (rwa->optimal) {
-          repaired[static_cast<std::size_t>(i)] = 1;
-          break;
-        }
-      }
-    });
-    for (char r : repaired) {
-      if (r) ++report.rwa_repairs; else ++report.rwa_scenarios_lost;
-    }
-    report.backoff_retries += rwa_backoff_retries.load();
-  }
-  // Restorability flags are a function of (tunnels, tickets), both shared
-  // across the matrices (demands differ, topology does not), so one cache
-  // serves every matrix's ladder — including its retry rungs.
-  std::optional<te::RestorabilityCache> rcache;
-  if (restores) {
-    rcache.emplace(inputs.front(), prepared, pool);
-  }
   std::vector<te::TeSolution> solutions;
   solutions.reserve(inputs.size());
-  // Ladder backoff streams, one per matrix (counter-seeded, drawn whether or
-  // not any rung retries — the rng trajectory downstream must not depend on
-  // how many retries happened).
-  const std::uint64_t te_backoff_base = rng.next_u64();
-  int last_solved = -1;  // most recent matrix served by a real solve
-  for (std::size_t m = 0; m < inputs.size(); ++m) {
-    auto& input = inputs[m];
-    // The journal-recovered plan seeds carry-forward until a real solve
-    // supersedes it: a restarted controller whose first solves fault serves
-    // the dead process's last-good plan, not cold ECMP.
-    const te::TeSolution* last_good =
-        last_solved >= 0 ? &solutions[static_cast<std::size_t>(last_solved)]
-                         : (recovered ? &*recovered : nullptr);
-    if (!report.canceled && config.cancel && config.cancel()) {
-      report.canceled = true;
-    }
-    LadderOutcome out;
-    if (report.canceled) {
-      // Graceful drain: no further LP work, the closed-form rungs only.
-      if (last_good != nullptr) {
-        out.sol = carry_forward(*last_good, input);
-        out.rung = Rung::kCarryForward;
-      } else {
-        out.sol = te::solve_ecmp(input);
-        out.rung = Rung::kEcmp;
-      }
-    } else {
-      const util::Deadline period_deadline =
-          config.te_budget_s > 0.0 ? util::Deadline::after(config.te_budget_s)
-                                   : util::Deadline();
-      util::Backoff backoff(
-          config.retry_backoff,
-          util::Rng::stream_seed(te_backoff_base,
-                                 static_cast<std::uint64_t>(m)));
-      out = solve_with_ladder(config, input, prepared, last_good,
-                              rcache ? &*rcache : nullptr, pool,
-                              period_deadline, &backoff);
-    }
-    report.solver_timeouts += out.timeouts;
-    report.backoff_retries += out.backoff_retries;
-    if (journal && out.rung <= Rung::kFfcFallback) {
-      JournalPlan plan;
-      plan.scheme = out.sol.scheme;
-      plan.admitted = out.sol.admitted;
-      plan.alloc = out.sol.alloc;
-      journal->record_plan(plan);
-    }
-    report.fallback_counts[static_cast<std::size_t>(out.rung)] += 1;
-    report.rung_by_matrix.push_back(out.rung);
-    report.solve_seconds_by_matrix.push_back(out.seconds);
-    report.simplex_iterations_by_matrix.push_back(out.iterations);
-    report.te_simplex_iterations += out.iterations;
-    report.te_presolve_rows_removed += out.presolve_rows;
-    report.te_presolve_cols_removed += out.presolve_cols;
-    report.te_pricing_candidates += out.pricing_candidates;
-    report.te_decomposition_rounds += out.decomposition_rounds;
-    report.te_decomposition_sub_solves += out.decomposition_sub_solves;
-    report.te_decomposition_cuts += out.decomposition_cuts;
+  for (const auto& input : inputs) {
+    LadderOutcome out = core.solve(input);
     obs::Registry::global()
         .counter("arrow_ctrl_rung_" + rung_metric_name(out.rung) + "_total")
         .add();
-    if (config.te_budget_s > 0.0 && out.seconds > config.te_budget_s) {
-      ++report.deadline_overruns;
-    }
-    if (out.rung <= Rung::kFfcFallback) {
-      last_solved = static_cast<int>(solutions.size());
-    }
     solutions.push_back(std::move(out.sol));
-    ++report.te_runs;
   }
 
   // Attribute every TE period in the horizon to the rung that produced the
@@ -620,76 +363,13 @@ ControllerReport run_controller(const topo::Network& net,
   recompute_rates();
   report.timeline.emplace_back(0.0, delivered_rate);
   queue.run();
-  if (store != nullptr) {
-    report.warm_start_hits = warm->hits();
-    report.warm_start_stores = warm->stores();
-    report.basis_absorbed = store->absorb(topo_h, scen_h, *warm);
-    if (!basis_dir.empty() &&
-        !store->save(solver::BasisStore::file_in(basis_dir))) {
-      // Failed save: the previous on-disk store (if any) is still intact;
-      // the next run just warm-starts from slightly older bases.
-      ++report.basis_save_errors;
-    }
-    report.basis_evictions = store->evictions();
-  }
-  if (journal) {
-    journal->end_run();  // clears the in-flight marker
-    report.journal_writes = journal->writes();
-    report.journal_write_errors = journal->write_errors();
-  }
+  core.drain();
 
-  // RunReport: copied from this report's own accounting (never re-derived
-  // from global metrics — see obs/report.h), then written out if enabled.
-  {
-    obs::RunReport& rr = report.run_report;
-    rr.run_id = obs_cfg.run_id;
-    rr.scheme = to_string(config.scheme);
-    rr.traffic_matrices = static_cast<int>(tms.size());
-    rr.scenarios = static_cast<int>(scenarios.size());
-    rr.te_runs = report.te_runs;
-    for (int r = 0; r < kNumRungs; ++r) {
-      rr.ladder.emplace_back(to_string(static_cast<Rung>(r)),
-                             report.fallback_counts[static_cast<std::size_t>(r)]);
-    }
-    rr.degraded_periods = report.degraded_periods;
-    rr.deadline_overruns = report.deadline_overruns;
-    rr.solver_timeouts = report.solver_timeouts;
-    rr.backoff_retries = report.backoff_retries;
-    rr.canceled = report.canceled;
-    rr.journal_recovered = report.journal_recovered;
-    rr.journal_prior_in_flight = report.journal_prior_in_flight;
-    rr.journal_writes = report.journal_writes;
-    rr.journal_write_errors = report.journal_write_errors;
-    rr.simplex_iterations = report.te_simplex_iterations;
-    rr.presolve_rows_removed = report.te_presolve_rows_removed;
-    rr.presolve_cols_removed = report.te_presolve_cols_removed;
-    rr.pricing_candidates = report.te_pricing_candidates;
-    rr.decomposition_rounds = report.te_decomposition_rounds;
-    rr.decomposition_sub_solves = report.te_decomposition_sub_solves;
-    rr.decomposition_cuts = report.te_decomposition_cuts;
-    rr.warm_start_hits = report.warm_start_hits;
-    rr.warm_start_stores = report.warm_start_stores;
-    rr.basis_seeded = report.basis_seeded;
-    rr.basis_absorbed = report.basis_absorbed;
-    rr.basis_evictions = report.basis_evictions;
-    rr.basis_save_errors = report.basis_save_errors;
-    rr.cuts_handled = report.cuts_handled;
-    rr.cuts_with_plan = report.cuts_with_plan;
-    rr.unplanned_cuts = report.unplanned_cuts;
-    rr.emergency_restorations = report.emergency_restorations;
-    rr.rwa_repairs = report.rwa_repairs;
-    rr.restorations = static_cast<int>(report.restoration_latency_s.size());
-    if (!report.restoration_latency_s.empty()) {
-      rr.restoration_p50_s = util::percentile(report.restoration_latency_s, 50);
-      rr.restoration_p90_s = util::percentile(report.restoration_latency_s, 90);
-      rr.restoration_p99_s = util::percentile(report.restoration_latency_s, 99);
-      rr.restoration_max_s = *std::max_element(
-          report.restoration_latency_s.begin(),
-          report.restoration_latency_s.end());
-    }
-    rr.availability = report.availability();
-    emit_run_artifacts(obs_cfg, rr);
-  }
+  // RunReport: copied from this report's own accounting, then written out
+  // if enabled.
+  report.run_report = make_run_report(report, config,
+                                      static_cast<int>(scenarios.size()));
+  emit_run_artifacts(obs_cfg, report.run_report);
   return report;
 }
 

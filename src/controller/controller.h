@@ -36,17 +36,6 @@ class BasisStore;
 
 namespace arrow::ctrl {
 
-enum class Scheme {
-  kArrow,       // two-phase restoration-aware TE + optical restoration
-  kArrowNaive,  // optical-only restoration plan
-  kFfc1,        // failure-aware TE, no restoration
-  kTeaVar,
-  kEcmp,
-  kReWeave,     // max-throughput TE + localized IP-layer repair at cut time
-};
-
-const char* to_string(Scheme s);
-
 // Degradation ladder for TE solves (most- to least-capable). A production
 // controller must keep serving traffic through solver faults and deadline
 // overruns, so a failed solve walks down this ladder instead of aborting
@@ -71,7 +60,9 @@ struct FailureEvent {
 };
 
 struct ControllerConfig {
-  Scheme scheme = Scheme::kArrow;
+  // Registry name of the TE scheme (schemes::Registry, e.g. "ARROW",
+  // "FFC-2", "PXT"); an unknown name throws with the registered list.
+  std::string scheme = "ARROW";
   double te_interval_s = 300.0;   // the production 5-minute TE period
   double horizon_s = 24.0 * 3600.0;
   te::TunnelParams tunnels;
@@ -138,11 +129,13 @@ struct ControllerConfig {
   // Directory for the on-disk basis store (extends warm starts across
   // *processes*). When non-empty — or when the ARROW_BASIS_DIR environment
   // variable is set, which this field overrides — the run loads
-  // solver::BasisStore::file_in(dir) into the store before seeding and saves
-  // the store back after absorbing. Pairs with `basis_store` when one is
-  // given; with `basis_store` null, a run-local store is used so the disk
-  // file alone carries the warm starts. A missing, truncated or corrupted
-  // file degrades to a cold start — never to an error or a changed solution.
+  // solver::BasisStore::file_in(dir) into the store before seeding and, after
+  // absorbing, merges it back with BasisStore::save_shared (processes sharing
+  // one directory keep each other's entries). Pairs with `basis_store` when
+  // one is given; with `basis_store` null, a run-local store is used so the
+  // disk file alone carries the warm starts. A missing, truncated or
+  // corrupted file degrades to a cold start — never to an error or a changed
+  // solution.
   std::string basis_dir;
 
   // Observability. Resolved against the environment (ARROW_OBS_DIR,
@@ -229,7 +222,7 @@ struct ControllerReport {
   int basis_seeded = 0;
   int basis_absorbed = 0;
   long long basis_evictions = 0;
-  int basis_save_errors = 0;  // failed BasisStore::save (old file kept)
+  int basis_save_errors = 0;  // failed save_shared (old file kept)
 
   // Machine-readable summary of this run (always populated; written to disk
   // only when ControllerConfig::obs resolves to enabled).
@@ -246,7 +239,10 @@ struct ControllerReport {
 };
 
 // Deterministic given the rng. The same failure trace can be replayed
-// against different schemes/configs for apples-to-apples comparison.
+// against different schemes/configs for apples-to-apples comparison. The
+// run's store, journal, calibration, offline stage and per-period ladder
+// are ctrl::PlanningCore (core.h), shared with the serve daemon; this
+// function adds the simulated clock and the event-timed cut replay.
 //
 // Robustness contract: a failed or faulted TE solve never aborts the run —
 // it walks down the degradation ladder (see Rung) and the report records

@@ -2,7 +2,6 @@
 
 #include "te/basic.h"
 #include "te/ffc.h"
-#include "te/teavar.h"
 #include "util/clock.h"
 
 namespace arrow::ctrl {
@@ -14,42 +13,6 @@ solver::SimplexOptions relaxed_simplex_options() {
   opt.bland_threshold = 25;
   return opt;
 }
-
-namespace {
-
-// One attempt at the configured scheme — failure is the ladder's problem,
-// not the caller's. `cache` (nullable) carries this matrix's precomputed
-// restorability flags, shared across every ladder attempt — a primary
-// failure plus relaxed retry used to recompute all Q x Z flag sets from
-// scratch on each rung.
-te::TeSolution solve_primary(const ControllerConfig& config,
-                             const te::TeInput& input,
-                             const te::ArrowPrepared& prepared,
-                             const te::RestorabilityCache* cache,
-                             util::ThreadPool& pool) {
-  switch (config.scheme) {
-    case Scheme::kArrow:
-      return te::solve_arrow(input, prepared, config.arrow, pool, cache);
-    case Scheme::kArrowNaive:
-      return te::solve_arrow_naive(input, prepared, config.arrow, pool, cache);
-    case Scheme::kFfc1:
-      return te::solve_ffc(input, te::FfcParams{1, 0});
-    case Scheme::kTeaVar:
-      return te::solve_teavar(input, te::TeaVarParams{});
-    case Scheme::kEcmp:
-      return te::solve_ecmp(input);
-    case Scheme::kReWeave: {
-      // The installed plan carries no failure headroom; the repair happens
-      // at cut time (serve::TickEngine's localized fast path).
-      te::TeSolution sol = te::solve_max_throughput(input);
-      sol.scheme = "ReWeave-Local";
-      return sol;
-    }
-  }
-  return te::solve_ecmp(input);
-}
-
-}  // namespace
 
 te::TeSolution carry_forward(const te::TeSolution& last_good,
                              const te::TeInput& input) {
@@ -87,7 +50,7 @@ std::string rung_metric_name(Rung r) {
   return name;
 }
 
-LadderOutcome solve_with_ladder(const ControllerConfig& config,
+LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
                                 const te::TeInput& input,
                                 const te::ArrowPrepared& prepared,
                                 const te::TeSolution* last_good,
@@ -124,7 +87,7 @@ LadderOutcome solve_with_ladder(const ControllerConfig& config,
       rung_deadline = util::Deadline::after(budget * kPrimaryBudgetShare);
     }
     solver::ScopedSolveDeadline guard(rung_deadline);
-    out.sol = solve_primary(config, input, prepared, cache, pool);
+    out.sol = scheme.solve(input, prepared, pool, cache);
     account();
     if (out.sol.optimal) {
       out.seconds = elapsed(lp_seconds);
@@ -147,7 +110,7 @@ LadderOutcome solve_with_ladder(const ControllerConfig& config,
     // The override is thread-local: the retry must not fan model builds
     // onto pool workers that would escape it.
     util::ThreadPool inline_pool(1);
-    out.sol = solve_primary(config, input, prepared, cache, inline_pool);
+    out.sol = scheme.solve(input, prepared, inline_pool, cache);
     account();
     if (out.sol.optimal) {
       out.seconds = elapsed(lp_seconds);
@@ -157,7 +120,7 @@ LadderOutcome solve_with_ladder(const ControllerConfig& config,
   }
 
   // FFC runs under the remainder of the period budget (run_guard alone).
-  if (config.scheme != Scheme::kFfc1 &&  // pointless to retry the same LP
+  if (scheme.name() != "FFC-1" &&  // pointless to retry the same LP
       !deadline.expired()) {
     if (backoff != nullptr && backoff->sleep(deadline) > 0.0) {
       ++out.backoff_retries;

@@ -1,17 +1,18 @@
-// The degradation ladder as a reusable unit.
+// The degradation ladder: one TE period on the planning core.
 //
-// run_controller (controller.cc) and the resident daemon's TickEngine
-// (serve/engine.h) both need the same property: a TE period must land on
-// *some* plan inside its wall-clock budget no matter what the solver, a
-// fault injector, or the deadline does. This header is that guarantee,
-// factored out of run_controller's internals: one call walks the Rung
-// ladder (see controller.h) from the configured scheme down to closed-form
-// ECMP, enforcing per-rung deadline shares and backoff, and reports which
-// rung served the period plus the solver-internals accounting every caller
-// copies into its RunReport.
+// PlanningCore::solve (core.h) — and through it both control loops,
+// run_controller and the serve daemon's TickEngine — lands every TE period
+// on *some* plan inside its wall-clock budget, no matter what the solver, a
+// fault injector, or the deadline does. One call walks the Rung ladder (see
+// controller.h) from the run's scheme down to closed-form ECMP, enforcing
+// per-rung deadline shares and backoff, and reports which rung served the
+// period plus the solver-internals accounting the core folds into the run's
+// ControllerReport. The primary and relaxed rungs call the run's one
+// schemes::Scheme instance; the registry adapters make the te:: calls.
 #pragma once
 
 #include "controller/controller.h"
+#include "schemes/scheme.h"
 #include "solver/lp.h"
 #include "te/input.h"
 #include "util/deadline.h"
@@ -27,9 +28,10 @@ inline constexpr double kPrimaryBudgetShare = 0.5;
 inline constexpr double kRelaxedBudgetShare = 0.3;
 
 // Solver settings for the ladder's second rung: Dantzig pricing takes a
-// different pivot trajectory than the default Devex (sidesteps cycling /
-// stalling failures), the raised iteration cap outlasts kIterationLimit
-// faults, and the low Bland threshold engages the anti-cycling rule early.
+// different pivot trajectory than the default kIncremental (sidesteps
+// cycling / stalling failures), the raised iteration cap outlasts
+// kIterationLimit faults, and the low Bland threshold engages the
+// anti-cycling rule early.
 solver::SimplexOptions relaxed_simplex_options();
 
 // Projects the last successfully solved TeSolution onto the current traffic
@@ -63,6 +65,7 @@ struct LadderOutcome {
 std::string rung_metric_name(Rung r);
 
 // Walks the degradation ladder until some rung yields a usable solution.
+// The FFC-1 rung is skipped when `scheme` is FFC-1 itself (the same LP).
 // kEcmp is closed-form (no LP anywhere in solve_ecmp), so the ladder cannot
 // come back empty no matter what the solver or a fault injector does.
 //
@@ -73,7 +76,7 @@ std::string rung_metric_name(Rung r);
 // (nullable) seeds the carry-forward rung; without it the ladder bottoms
 // out at ECMP. `backoff` (nullable) spaces the retry rungs with capped
 // jittered delays, never sleeping past the deadline.
-LadderOutcome solve_with_ladder(const ControllerConfig& config,
+LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
                                 const te::TeInput& input,
                                 const te::ArrowPrepared& prepared,
                                 const te::TeSolution* last_good,

@@ -1,42 +1,31 @@
-// The daemon's control loop core: run_controller's per-period machinery
-// re-cut for a resident process.
+// The daemon's control loop: ctrl::PlanningCore (controller/core.h) driven
+// by a socket instead of a simulated clock.
 //
-// run_controller owns a whole simulated horizon — it gets every traffic
-// matrix and failure up front and replays them against an event queue. A
-// daemon gets them one socket message at a time, so TickEngine holds the
-// pieces run_controller keeps on its stack as long-lived state:
-//
-//   * the offline stage (scenarios, tunnels, ArrowPrepared restoration
-//     plans, the restorability cache) built once per topology and reused by
-//     every tick;
-//   * the degradation-ladder loop (ctrl::solve_with_ladder) run per traffic
-//     tick under the per-tick budget, with last-good carry-forward state
-//     surviving between ticks;
-//   * the crash journal: recovery happens when the first tick fixes the
-//     tunnel shape, begin_run/record_plan/end_run bracket the engine's
-//     lifetime, so a daemon restart recovers the dead process's last-good
-//     plan into the carry-forward rung;
-//   * the persistent BasisStore: seeded into a warm-start cache that lives
-//     across ticks (tick N+1 starts from tick N's optimal vertex), absorbed
-//     and saved back with BasisStore::save_shared on drain — N daemons
-//     sharing one basis_dir merge instead of clobbering.
+// run_controller gets every traffic matrix and failure up front and replays
+// them against an event queue. A daemon gets them one socket message at a
+// time, so TickEngine keeps the run's PlanningCore alive between messages:
+// the core holds the offline stage, the degradation ladder with its
+// last-good carry-forward state, the crash journal and the warm-start cache
+// seeded from the BasisStore (tick N+1 starts from tick N's optimal vertex;
+// drain merges it back with BasisStore::save_shared). The core is built at
+// the first tick, which fixes the flow/tunnel shape, and drained when the
+// daemon stops or the topology is replaced. What stays here is the socket
+// clock: tick (set demands, solve), cut (immediate optical replay, or the
+// localized-repair fast path for schemes that support it) and repair.
 //
 // Not thread-safe: the server calls it from its single poll loop.
 #pragma once
 
-#include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "controller/controller.h"
-#include "controller/journal.h"
-#include "solver/basis_store.h"
-#include "solver/lp.h"
+#include "controller/core.h"
 #include "te/input.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace arrow::serve {
@@ -45,9 +34,9 @@ struct EngineConfig {
   // Scheme, tunnel/ticket/scenario parameters, per-tick budget
   // (ctrl.te_budget_s — the daemon default is 50 ms, not the simulator's
   // 5 minutes), journal_dir, basis_dir/basis_store, retry_backoff,
-  // demand_scale, latency model, and obs all mean exactly what they mean
-  // for run_controller. horizon_s/te_interval_s/cancel are unused — the
-  // socket is the clock.
+  // demand_scale, latency model, cancel and obs all mean exactly what they
+  // mean for run_controller (the same PlanningCore reads them).
+  // horizon_s/te_interval_s are unused — the socket is the clock.
   ctrl::ControllerConfig ctrl;
   std::uint64_t seed = 42;  // scenario sampling + restoration replay rng
 
@@ -56,6 +45,8 @@ struct EngineConfig {
 
 class TickEngine {
  public:
+  // Throws std::logic_error (Registry::unknown_message) when
+  // config.ctrl.scheme is not a registered scheme.
   explicit TickEngine(EngineConfig config);
   ~TickEngine();  // drains if the caller has not
 
@@ -104,7 +95,8 @@ class TickEngine {
   bool repair(topo::FiberId fiber);
 
   // RunReport snapshot of everything served so far (same field meanings as
-  // run_controller's; te_runs counts ticks). Safe to call at any time.
+  // run_controller's, filled by the same ctrl::make_run_report; te_runs
+  // counts ticks). Safe to call at any time.
   obs::RunReport report() const;
 
   // Ends the run: journal end_run, warm-start absorb, BasisStore
@@ -114,7 +106,7 @@ class TickEngine {
 
   // --- status (the query op) ----------------------------------------------
   bool has_topology() const { return have_topo_; }
-  int ticks() const { return ticks_; }
+  int ticks() const { return acc_.te_runs; }
   int active_cuts() const { return static_cast<int>(active_cuts_.size()); }
   ctrl::Rung last_rung() const { return last_rung_; }
   bool drained() const { return drained_; }
@@ -123,53 +115,32 @@ class TickEngine {
   double tick_p99_s() const;
 
  private:
-  struct Prepared;  // offline stage + per-run state (engine.cc)
-
   bool ensure_prepared(const traffic::TrafficMatrix& tm, std::string* error);
   void observe_delivery();
 
   EngineConfig config_;
   util::Rng rng_;
-  util::ThreadPool inline_pool_;
 
   bool have_topo_ = false;
   topo::Network net_;
   std::vector<scenario::Scenario> scenarios_;
 
-  std::unique_ptr<Prepared> prep_;
+  // The ladder, journal, basis and cut counters, in run_controller's
+  // layout; lives across topology replacements (the daemon's lifetime).
+  // Declared before core_, which accumulates into it.
+  ctrl::ControllerReport acc_;
+
+  // Per topology, built at its first tick.
+  std::optional<te::TeInput> input_;
+  std::unique_ptr<ctrl::PlanningCore> core_;
+  std::optional<te::TeSolution> current_;  // plan serving traffic now
 
   // --- accounting ----------------------------------------------------------
-  int ticks_ = 0;
   ctrl::Rung last_rung_ = ctrl::Rung::kPrimary;
-  std::vector<double> tick_seconds_;
-  std::array<int, ctrl::kNumRungs> rung_counts_{};
-  int degraded_ticks_ = 0;
-  int deadline_overruns_ = 0;
-  int rung_regressions_ = 0;
-  int solver_timeouts_ = 0;
-  int backoff_retries_ = 0;
-  long long simplex_iterations_ = 0;
-  long long presolve_rows_ = 0;
-  long long presolve_cols_ = 0;
-  long long pricing_candidates_ = 0;
-  long long decomposition_rounds_ = 0;
-  long long decomposition_sub_solves_ = 0;
-  long long decomposition_cuts_ = 0;
-  int rwa_repairs_ = 0;
-  bool calibration_degraded_ = false;
-  bool journal_recovered_ = false;
-  bool journal_prior_in_flight_ = false;
-  int cuts_handled_ = 0;
-  int cuts_with_plan_ = 0;
-  int unplanned_cuts_ = 0;
   int local_repairs_ = 0;
   int local_repair_fallbacks_ = 0;
   long long local_repair_pivots_ = 0;
   double local_repair_seconds_ = 0.0;
-  std::vector<double> restoration_latency_s_;
-  int basis_seeded_ = 0;
-  int basis_absorbed_ = 0;
-  int basis_save_errors_ = 0;
   double delivered_sum_ = 0.0;  // instantaneous delivery sampled per event
   double offered_sum_ = 0.0;
   bool drained_ = false;

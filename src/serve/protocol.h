@@ -20,7 +20,6 @@
 
 #include <string>
 
-#include "controller/controller.h"
 #include "obs/json.h"
 #include "traffic/traffic.h"
 
@@ -55,10 +54,5 @@ bool is_http_get(const std::string& line, std::string* target);
 // close) around `body`.
 std::string http_response(const std::string& body,
                           const std::string& content_type);
-
-// Scheme names as accepted by the topology op and `arrowctl serve
-// --scheme` (the to_string spellings, case-sensitive: "ARROW",
-// "ARROW-Naive", "FFC-1", "TeaVaR", "ECMP").
-bool scheme_from_string(const std::string& name, ctrl::Scheme* out);
 
 }  // namespace arrow::serve

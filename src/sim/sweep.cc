@@ -24,27 +24,16 @@ schemes::SchemeOptions scheme_options(const SweepParams& params) {
   return options;
 }
 
-// The scheme list: explicit registry names when given (validated up front so
-// a typo fails before any LP runs, with the registered names in the error),
-// else the legacy booleans in their canonical order.
-std::vector<std::string> selected_schemes(const SweepParams& params) {
+// The scheme list, validated up front so a typo fails before any LP runs,
+// with the registered names in the error.
+const std::vector<std::string>& selected_schemes(const SweepParams& params) {
   const auto& registry = schemes::Registry::global();
-  if (!params.schemes.empty()) {
-    for (const auto& name : params.schemes) {
-      if (!registry.contains(name)) {
-        throw std::logic_error(registry.unknown_message(name));
-      }
+  for (const auto& name : params.schemes) {
+    if (!registry.contains(name)) {
+      throw std::logic_error(registry.unknown_message(name));
     }
-    return params.schemes;
   }
-  std::vector<std::string> out;
-  if (params.run_arrow) out.push_back("ARROW");
-  if (params.run_arrow_naive) out.push_back("ARROW-Naive");
-  if (params.run_ffc1) out.push_back("FFC-1");
-  if (params.run_ffc2) out.push_back("FFC-2");
-  if (params.run_teavar) out.push_back("TeaVaR");
-  if (params.run_ecmp) out.push_back("ECMP");
-  return out;
+  return params.schemes;
 }
 
 }  // namespace

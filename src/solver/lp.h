@@ -65,19 +65,13 @@ const char* to_string(LpStatus s);
 enum class Pricing {
   kDantzig,      // most-negative reduced cost, fully recomputed every
                  // iteration. The slow-but-simple cross-check oracle: no
-                 // incremental state to drift, so the other modes are tested
-                 // against it.
-  kDevex,        // approximate steepest edge with per-iteration full reduced-
-                 // cost recomputation (the pre-incremental default).
+                 // incremental state to drift, so kIncremental is tested
+                 // against it (and the ladder's relaxed-retry rung uses it).
   kIncremental,  // Devex weights + reduced costs *updated* from the pivot row
                  // after each basis change (default). Phase 2 prices from a
                  // maintained vector refreshed at every refactorization;
                  // phase 1 (whose composite costs mutate each pivot) prices
                  // via the row-major mirror, skipping zero-dual rows.
-  kPartial,      // kIncremental plus a candidate list: only columns that were
-                 // improving at the last full refresh are scanned for the
-                 // entering choice, with periodic full refreshes to bound
-                 // drift (see SimplexOptions::partial_* below).
 };
 
 struct SimplexOptions {
@@ -93,11 +87,6 @@ struct SimplexOptions {
   // full space. The returned x/dual/reduced_cost/basis are always full-space,
   // so warm-start chaining and the BasisStore are unaffected.
   bool presolve = true;
-  // kPartial: cap on the candidate list kept at each full refresh
-  // (0 = automatic: max(64, n/8)), and how many pivots the list may serve
-  // before the next full refresh rebuilds it.
-  int partial_candidates = 0;
-  int partial_refresh_interval = 32;
   // Wall-clock bound on this solve (util::mono_now_s timeline; unset = none).
   // Combined with any ambient ScopedSolveDeadline: the earlier expiry wins.
   util::Deadline deadline;

@@ -10,16 +10,15 @@
 //  * phase 2 minimizes the true cost; both phases share pricing, FTRAN and
 //    the two-pass (Harris-lite) ratio test;
 //  * pricing runs off a row-major mirror of A built once per solve. Full
-//    passes (Dantzig/Devex, phase 1, and incremental refreshes) accumulate
+//    passes (Dantzig, phase 1, and incremental refreshes) accumulate
 //    d = c - A'y row by row, skipping rows with y == 0 — bit-identical to
 //    the per-column CSC dot because column entries arrive in the same
 //    ascending-row order. The default kIncremental mode *updates* phase-2
 //    reduced costs from the pivot row after each basis change
 //    (d_j -= theta_d * alpha_j with alpha = rho'A, rho = B^{-T}e_p) and
 //    folds the Devex weight update into the same sparse pass, replacing the
-//    old O(n*nnz) per-pivot sweep; kPartial adds a candidate list with
-//    periodic full refreshes. Every claimed optimum from maintained reduced
-//    costs is confirmed against a fresh full pass before returning.
+//    old O(n*nnz) per-pivot sweep. Every claimed optimum from maintained
+//    reduced costs is confirmed against a fresh full pass before returning.
 //  * the basis inverse is a Markowitz-ordered sparse LU (LuBasis) with
 //    product-form updates, refreshed every `refactor_interval` pivots or
 //    when the eta file grows dense; each refresh also refreshes the
@@ -372,12 +371,10 @@ class Simplex {
     pricing_candidates_ += n_;
   }
 
-  // Entering-column choice from the current d_. Scans the partial candidate
-  // list when `use_list`, the full column range otherwise. Dantzig scores by
-  // |d|; every other mode by the Devex ratio d^2 / w_j. Bland's rule takes
-  // the lowest improving index.
-  int select_entering(int phase, bool bland, bool use_list, int* dir_out) {
-    (void)phase;
+  // Entering-column choice from the current d_. Dantzig scores by |d|;
+  // kIncremental by the Devex ratio d^2 / w_j. Bland's rule takes the lowest
+  // improving index.
+  int select_entering(bool bland, int* dir_out) {
     const bool devex_score = opt_.pricing != Pricing::kDantzig;
     int entering = -1;
     int dir = 0;
@@ -409,51 +406,11 @@ class Simplex {
       }
       return false;
     };
-    if (use_list) {
-      for (int j : cand_) {
-        if (consider(j)) break;
-      }
-    } else {
-      for (int j = 0; j < n_; ++j) {
-        if (consider(j)) break;
-      }
+    for (int j = 0; j < n_; ++j) {
+      if (consider(j)) break;
     }
     *dir_out = dir;
     return entering;
-  }
-
-  // kPartial: keep the best improving columns from the last full refresh.
-  // Deterministic: sorted by (score desc, index asc), capped at
-  // partial_candidates (0 = max(64, n/8)).
-  void rebuild_candidates() {
-    const bool devex_score = opt_.pricing != Pricing::kDantzig;
-    scratch_cand_.clear();
-    for (int j = 0; j < n_; ++j) {
-      const VStat st = vstat_[static_cast<std::size_t>(j)];
-      if (st == VStat::kBasic) continue;
-      const double d = d_[static_cast<std::size_t>(j)];
-      const bool improving =
-          ((st == VStat::kAtLower || st == VStat::kFree) &&
-           d < -opt_.opt_tol) ||
-          ((st == VStat::kAtUpper || st == VStat::kFree) && d > opt_.opt_tol);
-      if (!improving) continue;
-      const double score = devex_score
-                               ? d * d / devex_w_[static_cast<std::size_t>(j)]
-                               : std::abs(d);
-      scratch_cand_.emplace_back(score, j);
-    }
-    std::sort(scratch_cand_.begin(), scratch_cand_.end(),
-              [](const std::pair<double, int>& a,
-                 const std::pair<double, int>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    const std::size_t cap = static_cast<std::size_t>(
-        opt_.partial_candidates > 0 ? opt_.partial_candidates
-                                    : std::max(64, n_ / 8));
-    if (scratch_cand_.size() > cap) scratch_cand_.resize(cap);
-    cand_.clear();
-    for (const auto& sc : scratch_cand_) cand_.push_back(sc.second);
   }
 
   LpStatus iterate(int phase) {
@@ -467,17 +424,13 @@ class Simplex {
     // Incremental reduced costs only work in phase 2: the phase-1 composite
     // costs mutate with every pivot, so phase 1 always full-prices (cheaply,
     // through the row mirror — the phase-1 dual vector is typically sparse).
-    const bool inc_mode = phase == 2 &&
-                          (opt_.pricing == Pricing::kIncremental ||
-                           opt_.pricing == Pricing::kPartial);
-    const bool partial = phase == 2 && opt_.pricing == Pricing::kPartial;
+    const bool inc_mode = phase == 2 && opt_.pricing == Pricing::kIncremental;
     devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
     y_.assign(static_cast<std::size_t>(m_), 0.0);
     d_.assign(static_cast<std::size_t>(n_), 0.0);
     alpha_work_.assign(static_cast<std::size_t>(n_), 0.0);
     touched_mark_.assign(static_cast<std::size_t>(n_), 0);
     bool dual_fresh = false;    // inc_mode: d_ valid for the current basis
-    int pivots_since_refresh = 0;
     // Deadline checks happen at the loop head, every deadline_check_interval
     // passes (plus once on entry). The clock is only read when a deadline is
     // actually set, so unbudgeted solves never touch the clock seam and stay
@@ -504,39 +457,23 @@ class Simplex {
 
       const bool bland = degenerate_streak > opt_.bland_threshold;
 
-      // Pricing. Non-incremental modes recompute every reduced cost;
-      // incremental mode refreshes on basis-refactorization, on the partial
-      // schedule, and whenever Bland's rule needs exact values everywhere.
+      // Pricing. Dantzig (and phase 1) recompute every reduced cost;
+      // incremental mode refreshes after a refactorization.
       bool refreshed = false;
-      if (!inc_mode) {
+      if (!inc_mode || !dual_fresh) {
         full_price(phase);
-        refreshed = true;
-      } else if (!dual_fresh ||
-                 (partial &&
-                  (bland ||
-                   pivots_since_refresh >= opt_.partial_refresh_interval))) {
-        full_price(phase);
-        dual_fresh = true;
-        pivots_since_refresh = 0;
-        if (partial) rebuild_candidates();
+        dual_fresh = inc_mode;
         refreshed = true;
       }
 
-      const bool use_list = partial && !bland;
       int dir = 0;
-      int entering = select_entering(phase, bland, use_list, &dir);
-      if (entering < 0 && inc_mode) {
-        // Maintained (or truncated-list) reduced costs claim optimality:
-        // confirm against an exact full pass before believing them.
-        if (!refreshed) {
-          full_price(phase);
-          dual_fresh = true;
-          pivots_since_refresh = 0;
-          if (partial) rebuild_candidates();
-        }
-        if (!refreshed || use_list) {
-          entering = select_entering(phase, bland, /*use_list=*/false, &dir);
-        }
+      int entering = select_entering(bland, &dir);
+      if (entering < 0 && inc_mode && !refreshed) {
+        // Maintained reduced costs claim optimality: confirm against an
+        // exact full pass before believing them.
+        full_price(phase);
+        dual_fresh = true;
+        entering = select_entering(bland, &dir);
       }
       if (entering < 0) {
         // Phase 1: stalled with residual infeasibility => infeasible (checked
@@ -812,7 +749,6 @@ class Simplex {
       vstat_[static_cast<std::size_t>(leaving)] =
           std::abs(leave_target - leave_lo) <= opt_.feas_tol ? VStat::kAtLower
                                                              : VStat::kAtUpper;
-      if (inc_mode) ++pivots_since_refresh;
       if (devex_reset) {
         // Reference framework degraded: restart the weights.
         devex_w_.assign(static_cast<std::size_t>(n_), 1.0);
@@ -905,8 +841,6 @@ class Simplex {
   std::vector<double> alpha_work_; // pivot-row scatter workspace (zeroed)
   std::vector<char> touched_mark_;
   std::vector<int> touched_;
-  std::vector<int> cand_;          // kPartial candidate list
-  std::vector<std::pair<double, int>> scratch_cand_;
   std::vector<int> row_start_;     // row-major mirror of lp_.a
   std::vector<int> row_col_;
   std::vector<double> row_val_;

@@ -305,7 +305,7 @@ class LadderFixture : public ::testing::Test {
     config_.arrow.tickets.num_tickets = 4;
     config_.scenarios.probability_cutoff = 0.002;
     config_.demand_scale = 0.5;
-    config_.scheme = ctrl::Scheme::kArrow;
+    config_.scheme = "ARROW";
   }
   topo::Network net_;
   std::vector<traffic::TrafficMatrix> tms_;

@@ -90,8 +90,8 @@ TEST(Determinism, RunSweepIsThreadCountInvariant) {
   Workload w;
   sim::SweepParams params;
   params.scales = {0.4, 0.8};
-  params.run_ffc2 = false;   // keep the matrix of solves small
-  params.run_teavar = false;
+  // Keep the matrix of solves small: no FFC-2, no TeaVaR.
+  params.schemes = {"ARROW", "ARROW-Naive", "FFC-1", "ECMP"};
   params.tunnels = w.tunnels;
   params.arrow.tickets.num_tickets = 4;
 

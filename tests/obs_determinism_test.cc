@@ -93,7 +93,7 @@ struct ControllerFixture {
     traffic::TrafficParams tp;
     tp.num_matrices = 2;
     tms = traffic::generate_traffic(net, tp, rng);
-    config.scheme = ctrl::Scheme::kArrow;
+    config.scheme = "ARROW";
     config.horizon_s = 2.0 * 3600.0;
     config.te_interval_s = 600.0;
     config.tunnels.tunnels_per_flow = 4;

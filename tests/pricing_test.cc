@@ -5,8 +5,8 @@
 // solve_arrow run (Phase I + Phase II LPs included), so every pricing mode
 // and the presolve round-trip are exercised on the exact LPs the paper's
 // pipeline produces, not synthetic toys. kDantzig is the oracle: it keeps
-// no incremental state, so agreement with it validates the maintained
-// reduced costs of kIncremental/kPartial and the Devex weights.
+// no incremental state, so agreement with it validates kIncremental's
+// maintained reduced costs and Devex weights.
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -70,29 +70,20 @@ std::vector<Lp>* PricingCorpus::corpus_ = nullptr;
 TEST_F(PricingCorpus, AllPricingModesReachTheSameOptimum) {
   for (std::size_t i = 0; i < corpus_->size(); ++i) {
     const Lp& lp = (*corpus_)[i];
-    SimplexOptions base;
-    const LpSolution oracle = solve_lp(lp, [&] {
-      SimplexOptions o = base;
-      o.pricing = Pricing::kDantzig;
-      return o;
-    }());
+    SimplexOptions oracle_opt;
+    oracle_opt.pricing = Pricing::kDantzig;
+    const LpSolution oracle = solve_lp(lp, oracle_opt);
     ASSERT_EQ(oracle.status, LpStatus::kOptimal) << "lp " << i;
-    for (Pricing p : {Pricing::kDevex, Pricing::kIncremental,
-                      Pricing::kPartial}) {
-      SimplexOptions opt = base;
-      opt.pricing = p;
-      const LpSolution sol = solve_lp(lp, opt);
-      ASSERT_EQ(sol.status, LpStatus::kOptimal)
-          << "lp " << i << " pricing " << static_cast<int>(p);
-      const double scale = 1.0 + std::abs(oracle.objective);
-      EXPECT_LT(std::abs(sol.objective - oracle.objective), 1e-6 * scale)
-          << "lp " << i << " pricing " << static_cast<int>(p);
-      EXPECT_LT(primal_violation(lp, sol.x), 1e-6)
-          << "lp " << i << " pricing " << static_cast<int>(p);
-      // The returned basis must be a genuine vertex of the full-space LP.
-      EXPECT_EQ(sol.basis.num_basic(), lp.a.rows)
-          << "lp " << i << " pricing " << static_cast<int>(p);
-    }
+    SimplexOptions opt;
+    opt.pricing = Pricing::kIncremental;
+    const LpSolution sol = solve_lp(lp, opt);
+    ASSERT_EQ(sol.status, LpStatus::kOptimal) << "lp " << i;
+    const double scale = 1.0 + std::abs(oracle.objective);
+    EXPECT_LT(std::abs(sol.objective - oracle.objective), 1e-6 * scale)
+        << "lp " << i;
+    EXPECT_LT(primal_violation(lp, sol.x), 1e-6) << "lp " << i;
+    // The returned basis must be a genuine vertex of the full-space LP.
+    EXPECT_EQ(sol.basis.num_basic(), lp.a.rows) << "lp " << i;
   }
 }
 
@@ -100,7 +91,7 @@ TEST_F(PricingCorpus, AllPricingModesReachTheSameOptimum) {
 // refactorization) may change how they reach a result, never the result:
 // every corpus LP must take exactly the pivots, phase-1 pivots and
 // refactorizations it took when these constants were recorded, and land on
-// the bit-identical objective. The variants cover every pricing mode, the
+// the bit-identical objective. The variants cover both pricing modes, the
 // unpresolved LP, and a warm re-solve after a demand change (the serve-tick
 // shape: phase 1 from a primal-infeasible basis, then phase 2).
 struct PivotPin {
@@ -110,34 +101,29 @@ struct PivotPin {
   std::uint64_t objective_bits;
 };
 
-constexpr int kPinVariants = 6;
+constexpr int kPinVariants = 4;
 
-// Rows: corpus LP. Columns: kDantzig, kDevex, kIncremental, kPartial,
-// kIncremental without presolve, warm kIncremental re-solve at 0.8x rhs.
+// Rows: corpus LP. Columns: kDantzig, kIncremental, kIncremental without
+// presolve, warm kIncremental re-solve at 0.8x rhs.
 constexpr PivotPin kPivotPins[][kPinVariants] = {
     {{551, 0, 9, 0xc0bec3159a50a91a},
-     {522, 0, 9, 0xc0bec3159a50a917},
      {498, 0, 8, 0xc0bec3159a50a918},
-     {567, 0, 9, 0xc0bec3159a50a918},
      {498, 0, 8, 0xc0bec3159a50a918},
      {152, 63, 3, 0xc0bcf697455e4bd9}},
     {{351, 0, 6, 0xc0b867d5978dbeda},
-     {344, 0, 6, 0xc0b867d5978dbed8},
      {337, 0, 6, 0xc0b867d5978dbed8},
-     {335, 0, 6, 0xc0b867d5978dbed9},
      {337, 0, 6, 0xc0b867d5978dbed8},
      {62, 46, 1, 0xc0b57a66e7780227}},
 };
 
 LpSolution solve_pin_variant(const Lp& lp, int variant) {
-  constexpr Pricing kModes[] = {Pricing::kDantzig, Pricing::kDevex,
-                                Pricing::kIncremental, Pricing::kPartial};
+  constexpr Pricing kModes[] = {Pricing::kDantzig, Pricing::kIncremental};
   SimplexOptions opt;
-  if (variant < 4) {
+  if (variant < 2) {
     opt.pricing = kModes[variant];
     return solve_lp(lp, opt);
   }
-  if (variant == 4) {
+  if (variant == 2) {
     opt.presolve = false;
     return solve_lp(lp, opt);
   }
@@ -178,20 +164,20 @@ TEST_F(PricingCorpus, PivotSequencesMatchTheRecordedPins) {
   if (!all_match) std::printf("actual pins:\n%s", actual.c_str());
 }
 
-TEST_F(PricingCorpus, PartialPricingDoesLessWorkThanDantzig) {
-  // The candidate-list mode must not price more columns than the
-  // full-recomputation oracle on the corpus in aggregate — that is its
-  // reason to exist.
-  long long dantzig = 0, partial = 0;
+TEST_F(PricingCorpus, IncrementalPricingDoesLessWorkThanDantzig) {
+  // The maintained reduced costs must price fewer columns than the
+  // full-recomputation oracle on the corpus in aggregate — that is the
+  // default mode's reason to exist.
+  long long dantzig = 0, incremental = 0;
   for (const Lp& lp : *corpus_) {
     SimplexOptions opt;
     opt.pricing = Pricing::kDantzig;
     dantzig += solve_lp(lp, opt).pricing_candidates;
-    opt.pricing = Pricing::kPartial;
-    partial += solve_lp(lp, opt).pricing_candidates;
+    opt.pricing = Pricing::kIncremental;
+    incremental += solve_lp(lp, opt).pricing_candidates;
   }
   EXPECT_GT(dantzig, 0);
-  EXPECT_LT(partial, dantzig);
+  EXPECT_LT(incremental, dantzig);
 }
 
 TEST_F(PricingCorpus, PresolveRoundTripPreservesTheOptimum) {
@@ -307,9 +293,7 @@ TEST(PresolveSweep, SweepResultsAreIdenticalWithPresolveOnAndOff) {
 
   sim::SweepParams params;
   params.scales = {1.0, 2.0, 3.0};
-  params.run_ffc1 = false;
-  params.run_ffc2 = false;
-  params.run_teavar = false;
+  params.schemes = {"ARROW", "ARROW-Naive", "ECMP"};
   params.tunnels.tunnels_per_flow = 3;
   params.arrow.tickets.num_tickets = 3;
 

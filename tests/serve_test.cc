@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -128,15 +129,6 @@ TEST(ServeProtocol, HttpGetDetectionAndResponseFraming) {
   EXPECT_EQ(resp.substr(resp.size() - 4), "body");
 }
 
-TEST(ServeProtocol, SchemeNamesRoundTrip) {
-  ctrl::Scheme s = ctrl::Scheme::kEcmp;
-  EXPECT_TRUE(serve::scheme_from_string("ARROW", &s));
-  EXPECT_EQ(s, ctrl::Scheme::kArrow);
-  EXPECT_TRUE(serve::scheme_from_string("FFC-1", &s));
-  EXPECT_EQ(s, ctrl::Scheme::kFfc1);
-  EXPECT_FALSE(serve::scheme_from_string("nope", &s));
-}
-
 // --- engine lifecycle -------------------------------------------------------
 
 TEST(ServeEngine, TickCutRepairAndReport) {
@@ -189,7 +181,7 @@ TEST(ServeEngine, TickCutRepairAndReport) {
 // unplanned-cut path — and the repair telemetry must land in the RunReport.
 TEST(ServeEngine, ReWeaveCutFastPathDrill) {
   serve::EngineConfig config = test_config();
-  config.ctrl.scheme = ctrl::Scheme::kReWeave;
+  config.ctrl.scheme = "ReWeave-Local";
   serve::TickEngine engine(config);
 
   ASSERT_TRUE(engine.set_topology(test_net()).ok);
@@ -221,6 +213,21 @@ TEST(ServeEngine, ReWeaveCutFastPathDrill) {
   ASSERT_TRUE(t2.ok) << t2.error;
   EXPECT_TRUE(engine.repair(0));
   engine.drain();
+}
+
+// The scheme is a registry name: an unknown one fails at construction with
+// the registry's diagnostic, which lists what is registered.
+TEST(ServeEngine, UnknownSchemeNamesTheRegisteredOnes) {
+  serve::EngineConfig config = test_config();
+  config.ctrl.scheme = "nope";
+  try {
+    serve::TickEngine engine(config);
+    FAIL() << "unknown scheme accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown scheme 'nope'"), std::string::npos) << what;
+    EXPECT_NE(what.find("PXT"), std::string::npos) << what;
+  }
 }
 
 TEST(ServeEngine, RefusesOutOfOrderRequests) {
