@@ -9,6 +9,13 @@
 // shared and rebuilt — and a solve cross-check confirms the identical
 // models also yield identical TE solutions.
 //
+// It also times the LP assembly stages each solve of that model pays after
+// the build: Model::lp (CSC plus the row view, `build_lp_ms`), presolve_lp
+// (`presolve_ms`) and one counting transpose of the CSC into a row view
+// (`row_view_ms`: what presolve and the simplex each paid per solve before
+// Model::lp handed them its own view, and what an LP without a view still
+// pays). Stage times are min-of-5 and carry no gate.
+//
 // Environment knobs: ARROW_BENCH_FAST=1 shrinks to the IBM topology for
 // CI-speed runs (bench-smoke). Results land in BENCH_phase1_build.json
 // (bench_json.h).
@@ -19,6 +26,8 @@
 #include <thread>
 
 #include "bench_json.h"
+#include "solver/model.h"
+#include "solver/presolve.h"
 #include "te/arrow.h"
 #include "te/basic.h"
 #include "topo/builders.h"
@@ -47,6 +56,20 @@ double solution_checksum(const te::TeSolution& sol) {
     sum += static_cast<double>((q + 1) * sol.winner[q]);
   }
   return sum;
+}
+
+// Best of `reps` wall-clock runs of fn, in ms.
+template <typename Fn>
+double min_ms(int reps, Fn&& fn) {
+  double best = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    fn();
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    if (r == 0 || ms < best) best = ms;
+  }
+  return best;
 }
 
 }  // namespace
@@ -124,6 +147,36 @@ int main() {
               "%.1f ms with cache construction (%.2fx)\n",
               fast.build_seconds * 1e3, speedup, cold.build_seconds * 1e3,
               cold_speedup);
+
+  // --- LP assembly stages after the build ----------------------------------
+  {
+    solver::Model model;
+    te::build_phase1_model(input, prepared, params, pool1, &cache, &model);
+    solver::Lp lp;
+    const double build_lp_ms = min_ms(5, [&] { lp = model.lp(); });
+    const double presolve_ms = min_ms(5, [&] {
+      (void)solver::presolve_lp(lp, model.simplex_options());
+    });
+    const double row_view_ms =
+        min_ms(5, [&] { (void)solver::transpose_to_rows(lp.a); });
+    const bool noop = solver::presolve_is_noop(lp);
+    const solver::Presolved pre =
+        solver::presolve_lp(lp, model.simplex_options());
+    out.set("lp_rows", lp.a.rows);
+    out.set("lp_nnz", lp.a.nnz());
+    out.set("build_lp_ms", build_lp_ms);
+    out.set("presolve_ms", presolve_ms);
+    out.set("presolve_noop", std::string(noop ? "yes" : "no"));
+    out.set("presolve_rows_removed", pre.rows_removed);
+    out.set("presolve_cols_removed", pre.cols_removed);
+    out.set("row_view_ms", row_view_ms);
+    std::printf("LP assembly (m=%d, nnz=%d): build_lp %.2f ms, presolve %.2f "
+                "ms (no-op exit: %s; %d rows, %d cols removed), row view by "
+                "transpose %.2f ms\n",
+                lp.a.rows, lp.a.nnz(), build_lp_ms, presolve_ms,
+                noop ? "yes" : "no", pre.rows_removed, pre.cols_removed,
+                row_view_ms);
+  }
 
   // --- model bit-identity across thread counts and cache sharing ----------
   for (util::ThreadPool* p : {&pool1, &pool2, &pool8}) {

@@ -38,9 +38,26 @@ struct SparseMatrix {
   int nnz() const { return static_cast<int>(row_index.size()); }
 };
 
+// Row-major (CSR) form of a SparseMatrix: row i's entries are
+// col_index/value[row_start[i], row_start[i + 1]), ascending by column.
+struct SparseRows {
+  std::vector<int> row_start;  // size rows + 1; empty when not built
+  std::vector<int> col_index;  // size nnz
+  std::vector<double> value;   // size nnz
+
+  bool empty() const { return row_start.empty(); }
+};
+
+// The row-major form of `a`, by one counting transpose.
+SparseRows transpose_to_rows(const SparseMatrix& a);
+
 // LP in computational form (all rows are equalities).
 struct Lp {
   SparseMatrix a;             // rows x cols
+  // Optional row-major copy of `a` (empty = none). Model::lp fills it from
+  // its own row store, so presolve and the simplex read rows without
+  // transposing `a`; code that edits `a` must clear or rebuild it.
+  SparseRows a_rows;
   std::vector<double> cost;   // size cols
   std::vector<double> lower;  // size cols
   std::vector<double> upper;  // size cols

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <queue>
 
 #include "obs/metrics.h"
@@ -40,24 +39,73 @@ VarId Model::add_var(double lb, double ub, double obj_coeff, std::string name,
   return VarId{static_cast<std::int32_t>(vars_.size() - 1)};
 }
 
-void Model::add_constr(const LinExpr& lhs, Sense sense, double rhs,
-                       std::string name) {
-  RowData row;
-  row.sense = sense;
-  row.rhs = rhs - lhs.constant();
-  row.name = std::move(name);
-  // Merge duplicate variables.
-  std::map<int, double> merged;
-  for (const auto& [v, c] : lhs.terms()) {
-    ARROW_CHECK(v.valid() && v.index < static_cast<int>(vars_.size()),
+void Model::add_constr(const LinExpr& lhs, Sense sense, double rhs) {
+  append_row(lhs.terms().data(), lhs.terms().size(), nullptr, 0, sense,
+             rhs - lhs.constant());
+}
+
+void Model::add_constr(const LinExpr& lhs,
+                       std::initializer_list<std::pair<VarId, double>> tail,
+                       Sense sense, double rhs) {
+  append_row(lhs.terms().data(), lhs.terms().size(), tail.begin(),
+             tail.size(), sense, rhs - lhs.constant());
+}
+
+// Merges head ++ tail into one stored row. The sum for each variable starts
+// at +0.0 and adds its terms in insertion order, and a sum equal to 0.0 is
+// dropped: the arithmetic of an ordered-map merge, so rows (and everything
+// hashed or solved from them) are bit-identical to it. A strictly ascending
+// row has one term per variable, whose sum 0.0 + c is c itself (or 0.0 for
+// c = -0.0, dropped either way), so it is copied without sorting.
+void Model::append_row(const std::pair<VarId, double>* head,
+                       std::size_t n_head,
+                       const std::pair<VarId, double>* tail,
+                       std::size_t n_tail, Sense sense, double rhs) {
+  const auto each_term = [&](auto&& f) {
+    for (std::size_t k = 0; k < n_head; ++k) f(head[k]);
+    for (std::size_t k = 0; k < n_tail; ++k) f(tail[k]);
+  };
+  const int nv = static_cast<int>(vars_.size());
+  bool ascending = true;
+  int prev = -1;
+  each_term([&](const std::pair<VarId, double>& t) {
+    ARROW_CHECK(t.first.index >= 0 && t.first.index < nv,
                 "constraint references unknown variable");
-    merged[v.index] += c;
+    ascending = ascending && t.first.index > prev;
+    prev = t.first.index;
+  });
+  if (ascending) {
+    each_term([&](const std::pair<VarId, double>& t) {
+      if (t.second != 0.0) {
+        row_col_.push_back(t.first.index);
+        row_val_.push_back(t.second);
+      }
+    });
+  } else {
+    merge_buf_.clear();
+    each_term([&](const std::pair<VarId, double>& t) {
+      merge_buf_.push_back(
+          {t.first.index, static_cast<int>(merge_buf_.size()), t.second});
+    });
+    std::sort(merge_buf_.begin(), merge_buf_.end(),
+              [](const MergeTerm& a, const MergeTerm& b) {
+                return a.col != b.col ? a.col < b.col : a.seq < b.seq;
+              });
+    for (std::size_t k = 0; k < merge_buf_.size();) {
+      const int v = merge_buf_[k].col;
+      double sum = 0.0;
+      for (; k < merge_buf_.size() && merge_buf_[k].col == v; ++k) {
+        sum += merge_buf_[k].coeff;
+      }
+      if (sum != 0.0) {
+        row_col_.push_back(v);
+        row_val_.push_back(sum);
+      }
+    }
   }
-  row.terms.reserve(merged.size());
-  for (const auto& [v, c] : merged) {
-    if (c != 0.0) row.terms.emplace_back(v, c);
-  }
-  rows_.push_back(std::move(row));
+  row_start_.push_back(static_cast<int>(row_col_.size()));
+  row_sense_.push_back(sense);
+  row_rhs_.push_back(rhs);
 }
 
 void Model::set_objective_coeff(VarId v, double coeff) {
@@ -92,27 +140,44 @@ std::uint64_t Model::fingerprint() const {
   for (const auto& v : vars_) {
     h.f64(v.lb).f64(v.ub).f64(v.obj).i32(static_cast<std::int32_t>(v.type));
   }
-  h.i64(static_cast<std::int64_t>(rows_.size()));
-  for (const auto& r : rows_) {
-    h.i64(static_cast<std::int64_t>(r.terms.size()));
-    for (const auto& [vi, c] : r.terms) h.i32(vi).f64(c);
-    h.i32(static_cast<std::int32_t>(r.sense)).f64(r.rhs);
+  const int m = num_constrs();
+  h.i64(m);
+  for (int i = 0; i < m; ++i) {
+    const int begin = row_start_[static_cast<std::size_t>(i)];
+    const int end = row_start_[static_cast<std::size_t>(i) + 1];
+    h.i64(end - begin);
+    for (int k = begin; k < end; ++k) {
+      h.i32(row_col_[static_cast<std::size_t>(k)])
+          .f64(row_val_[static_cast<std::size_t>(k)]);
+    }
+    h.i32(static_cast<std::int32_t>(row_sense_[static_cast<std::size_t>(i)]))
+        .f64(row_rhs_[static_cast<std::size_t>(i)]);
   }
   return h.value();
+}
+
+Lp Model::lp() const {
+  std::vector<double> lb(vars_.size()), ub(vars_.size());
+  for (std::size_t j = 0; j < vars_.size(); ++j) {
+    lb[j] = vars_[j].lb;
+    ub[j] = vars_[j].ub;
+  }
+  return build_lp(lb, ub);
 }
 
 Lp Model::build_lp(const std::vector<double>& lb_override,
                    const std::vector<double>& ub_override) const {
   const int nv = static_cast<int>(vars_.size());
-  const int m = static_cast<int>(rows_.size());
+  const int m = num_constrs();
   const int n = nv + m;  // structural + one slack per row
+  const int nnz = static_cast<int>(row_col_.size()) + m;
   Lp lp;
   lp.a.rows = m;
   lp.a.cols = n;
   lp.cost.assign(static_cast<std::size_t>(n), 0.0);
   lp.lower.assign(static_cast<std::size_t>(n), 0.0);
   lp.upper.assign(static_cast<std::size_t>(n), 0.0);
-  lp.rhs.resize(static_cast<std::size_t>(m));
+  lp.rhs = row_rhs_;
 
   const double sign = maximize_ ? -1.0 : 1.0;
   for (int j = 0; j < nv; ++j) {
@@ -124,10 +189,8 @@ Lp Model::build_lp(const std::vector<double>& lb_override,
         ub_override[static_cast<std::size_t>(j)];
   }
   for (int i = 0; i < m; ++i) {
-    const RowData& row = rows_[static_cast<std::size_t>(i)];
-    lp.rhs[static_cast<std::size_t>(i)] = row.rhs;
     const int slack = nv + i;
-    switch (row.sense) {
+    switch (row_sense_[static_cast<std::size_t>(i)]) {
       case Sense::kLe:
         lp.lower[static_cast<std::size_t>(slack)] = 0.0;
         lp.upper[static_cast<std::size_t>(slack)] = kInf;
@@ -143,34 +206,54 @@ Lp Model::build_lp(const std::vector<double>& lb_override,
     }
   }
 
-  // CSC assembly: structural columns from the rows, then identity slacks.
-  std::vector<int> col_count(static_cast<std::size_t>(n), 0);
-  for (const RowData& row : rows_) {
-    for (const auto& [v, c] : row.terms) {
-      (void)c;
-      ++col_count[static_cast<std::size_t>(v)];
-    }
+  // Row view: the row store with each row's identity slack appended. Slack
+  // nv + i is the largest column of row i, so rows stay ascending — exactly
+  // the transpose of the CSC below.
+  SparseRows& r = lp.a_rows;
+  r.row_start.resize(static_cast<std::size_t>(m) + 1);
+  r.col_index.resize(static_cast<std::size_t>(nnz));
+  r.value.resize(static_cast<std::size_t>(nnz));
+  r.row_start[0] = 0;
+  for (int i = 0; i < m; ++i) {
+    const int begin = row_start_[static_cast<std::size_t>(i)];
+    const int end = row_start_[static_cast<std::size_t>(i) + 1];
+    const int out = begin + i;
+    std::copy(row_col_.begin() + begin, row_col_.begin() + end,
+              r.col_index.begin() + out);
+    std::copy(row_val_.begin() + begin, row_val_.begin() + end,
+              r.value.begin() + out);
+    r.col_index[static_cast<std::size_t>(end + i)] = nv + i;
+    r.value[static_cast<std::size_t>(end + i)] = 1.0;
+    r.row_start[static_cast<std::size_t>(i) + 1] = end + i + 1;
   }
-  for (int i = 0; i < m; ++i) col_count[static_cast<std::size_t>(nv + i)] = 1;
+
+  // CSC by one counting pass over the row store: structural columns, then
+  // the identity slacks. Rows are visited in order, so every column lists
+  // its rows ascending.
   lp.a.col_start.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int j = 0; j < n; ++j) {
-    lp.a.col_start[static_cast<std::size_t>(j) + 1] =
-        lp.a.col_start[static_cast<std::size_t>(j)] +
-        col_count[static_cast<std::size_t>(j)];
+  for (int v : row_col_) ++lp.a.col_start[static_cast<std::size_t>(v) + 1];
+  for (int i = 0; i < m; ++i) {
+    lp.a.col_start[static_cast<std::size_t>(nv + i) + 1] = 1;
   }
-  const int nnz = lp.a.col_start.back();
-  lp.a.row_index.assign(static_cast<std::size_t>(nnz), 0);
-  lp.a.value.assign(static_cast<std::size_t>(nnz), 0.0);
+  for (int j = 0; j < n; ++j) {
+    lp.a.col_start[static_cast<std::size_t>(j) + 1] +=
+        lp.a.col_start[static_cast<std::size_t>(j)];
+  }
+  lp.a.row_index.resize(static_cast<std::size_t>(nnz));
+  lp.a.value.resize(static_cast<std::size_t>(nnz));
   std::vector<int> fill(lp.a.col_start.begin(), lp.a.col_start.end() - 1);
   for (int i = 0; i < m; ++i) {
-    for (const auto& [v, c] : rows_[static_cast<std::size_t>(i)].terms) {
-      const int k = fill[static_cast<std::size_t>(v)]++;
-      lp.a.row_index[static_cast<std::size_t>(k)] = i;
-      lp.a.value[static_cast<std::size_t>(k)] = c;
+    const int end = row_start_[static_cast<std::size_t>(i) + 1];
+    for (int k = row_start_[static_cast<std::size_t>(i)]; k < end; ++k) {
+      const int slot =
+          fill[static_cast<std::size_t>(row_col_[static_cast<std::size_t>(k)])]++;
+      lp.a.row_index[static_cast<std::size_t>(slot)] = i;
+      lp.a.value[static_cast<std::size_t>(slot)] =
+          row_val_[static_cast<std::size_t>(k)];
     }
-    const int k = fill[static_cast<std::size_t>(nv + i)]++;
-    lp.a.row_index[static_cast<std::size_t>(k)] = i;
-    lp.a.value[static_cast<std::size_t>(k)] = 1.0;
+    const int slot = lp.a.col_start[static_cast<std::size_t>(nv + i)];
+    lp.a.row_index[static_cast<std::size_t>(slot)] = i;
+    lp.a.value[static_cast<std::size_t>(slot)] = 1.0;
   }
   return lp;
 }
@@ -183,12 +266,7 @@ SolveResult Model::solve(const Basis* warm_start) {
     nodes.add(static_cast<std::uint64_t>(result_.bb_nodes));
     return result_;
   }
-  std::vector<double> lb(vars_.size()), ub(vars_.size());
-  for (std::size_t j = 0; j < vars_.size(); ++j) {
-    lb[j] = vars_[j].lb;
-    ub[j] = vars_[j].ub;
-  }
-  const Lp lp = build_lp(lb, ub);
+  const Lp lp = this->lp();
   const LpSolution sol = solve_lp(lp, simplex_options_, warm_start);
   SolveResult res;
   res.simplex_iterations = sol.iterations;
@@ -214,7 +292,7 @@ SolveResult Model::solve(const Basis* warm_start) {
     case LpStatus::kTimedOut: res.status = SolveStatus::kTimedOut; break;
   }
   solution_.assign(vars_.size(), 0.0);
-  duals_.assign(rows_.size(), 0.0);
+  duals_.assign(row_rhs_.size(), 0.0);
   if (res.status == SolveStatus::kOptimal) {
     for (std::size_t j = 0; j < vars_.size(); ++j) solution_[j] = sol.x[j];
     res.objective = 0.0;
@@ -222,7 +300,7 @@ SolveResult Model::solve(const Basis* warm_start) {
       res.objective += vars_[j].obj * solution_[j];
     }
     const double sign = maximize_ ? -1.0 : 1.0;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
+    for (std::size_t i = 0; i < row_rhs_.size(); ++i) {
       duals_[i] = sign * sol.dual[i];
     }
   }
@@ -349,7 +427,7 @@ SolveResult Model::solve_mip() {
   }
 
   solution_.assign(vars_.size(), 0.0);
-  duals_.assign(rows_.size(), 0.0);
+  duals_.assign(row_rhs_.size(), 0.0);
   if (root_unbounded) {
     res.status = SolveStatus::kUnbounded;
   } else if (!incumbent_x.empty()) {

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "solver/linexpr.h"
@@ -65,8 +67,15 @@ class Model {
   VarId add_binary(double obj_coeff, std::string name = {}) {
     return add_var(0.0, 1.0, obj_coeff, std::move(name), VarType::kBinary);
   }
-  void add_constr(const LinExpr& lhs, Sense sense, double rhs,
-                  std::string name = {});
+  // Appends the row `lhs sense rhs`. Terms on the same variable are summed
+  // in insertion order and exact zeros dropped; the stored row is ascending
+  // by variable. A row whose terms already ascend strictly is copied as is.
+  void add_constr(const LinExpr& lhs, Sense sense, double rhs);
+  // Same as add_constr(lhs + tail, sense, rhs), without building the sum —
+  // for rows that share a long prefix and differ in a few trailing terms.
+  void add_constr(const LinExpr& lhs,
+                  std::initializer_list<std::pair<VarId, double>> tail,
+                  Sense sense, double rhs);
   void set_objective_coeff(VarId v, double coeff);
   void set_maximize() { maximize_ = true; }
   void set_minimize() { maximize_ = false; }
@@ -86,9 +95,13 @@ class Model {
   // Dual value of the i-th constraint (LPs only; insertion order).
   double dual(int constraint_index) const;
 
+  // The computational-form LP solve() hands to the simplex (current bounds,
+  // CSC plus its row-major view).
+  Lp lp() const;
+
   // --- introspection ---------------------------------------------------------
   int num_vars() const { return static_cast<int>(vars_.size()); }
-  int num_constrs() const { return static_cast<int>(rows_.size()); }
+  int num_constrs() const { return static_cast<int>(row_rhs_.size()); }
   int num_integer_vars() const;
   const std::string& var_name(VarId v) const;
 
@@ -109,19 +122,30 @@ class Model {
     VarType type;
     std::string name;
   };
-  struct RowData {
-    std::vector<std::pair<int, double>> terms;  // (var index, coeff), merged
-    Sense sense;
-    double rhs;
-    std::string name;
+  // One merge-sort scratch entry: a term and its insertion position, so a
+  // plain sort on (col, seq) is stable.
+  struct MergeTerm {
+    int col;
+    int seq;
+    double coeff;
   };
 
+  void append_row(const std::pair<VarId, double>* head, std::size_t n_head,
+                  const std::pair<VarId, double>* tail, std::size_t n_tail,
+                  Sense sense, double rhs);
   Lp build_lp(const std::vector<double>& lb_override,
               const std::vector<double>& ub_override) const;
   SolveResult solve_mip();
 
   std::vector<VarData> vars_;
-  std::vector<RowData> rows_;
+  // Constraint rows in one flat CSR: row i's merged terms are
+  // row_col_/row_val_[row_start_[i], row_start_[i + 1]), ascending by var.
+  std::vector<int> row_start_{0};
+  std::vector<int> row_col_;
+  std::vector<double> row_val_;
+  std::vector<Sense> row_sense_;
+  std::vector<double> row_rhs_;
+  std::vector<MergeTerm> merge_buf_;  // reused by rows that need sorting
   bool maximize_ = false;
   SimplexOptions simplex_options_;
   int node_limit_ = 200000;

@@ -1,5 +1,6 @@
 #include "solver/presolve.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -30,7 +31,34 @@ bool near(double a, double b, double tol) {
 
 }  // namespace
 
+bool presolve_is_noop(const Lp& lp) {
+  const int m = lp.a.rows;
+  const int n = lp.a.cols;
+  if (m == 0 || !has_identity_slacks(lp)) return true;
+  const int ns = n - m;
+  for (int j = 0; j < ns; ++j) {
+    if (!(lp.lower[j] < lp.upper[j]) ||
+        lp.a.col_start[j + 1] == lp.a.col_start[j]) {
+      return false;
+    }
+  }
+  if (lp.a_rows.empty()) return false;  // no row counts at hand
+  // Each row of the view holds its structural entries plus its slack.
+  for (int i = 0; i < m; ++i) {
+    if (lp.a_rows.row_start[i + 1] - lp.a_rows.row_start[i] < 3) return false;
+  }
+  return true;
+}
+
 Presolved presolve_lp(const Lp& lp, const SimplexOptions& opt) {
+  if (!presolve_is_noop(lp)) return presolve_fixpoint(lp, opt);
+  Presolved out;
+  out.row_kept.assign(lp.a.rows, 1);
+  out.col_kept.assign(std::max(lp.a.cols - lp.a.rows, 0), 1);
+  return out;
+}
+
+Presolved presolve_fixpoint(const Lp& lp, const SimplexOptions& opt) {
   Presolved out;
   const int m = lp.a.rows;
   const int n = lp.a.cols;
@@ -42,29 +70,18 @@ Presolved presolve_lp(const Lp& lp, const SimplexOptions& opt) {
   const int ns = n - m;
   const double tol = opt.feas_tol;
 
-  // Row-major mirror of the structural block (columns [0, ns)), used to find
-  // empty/singleton rows without rescanning every column.
-  std::vector<int> row_nnz(m, 0);
-  for (int j = 0; j < ns; ++j) {
-    for (int k = lp.a.col_start[j]; k < lp.a.col_start[j + 1]; ++k) {
-      ++row_nnz[lp.a.row_index[k]];
-    }
-  }
-  std::vector<int> row_start(m + 1, 0);
-  for (int i = 0; i < m; ++i) row_start[i + 1] = row_start[i] + row_nnz[i];
-  std::vector<int> row_col(row_start[m]);
-  std::vector<double> row_val(row_start[m]);
-  {
-    std::vector<int> fill(row_start.begin(), row_start.end() - 1);
-    for (int j = 0; j < ns; ++j) {
-      for (int k = lp.a.col_start[j]; k < lp.a.col_start[j + 1]; ++k) {
-        const int i = lp.a.row_index[k];
-        row_col[fill[i]] = j;
-        row_val[fill[i]] = lp.a.value[k];
-        ++fill[i];
-      }
-    }
-  }
+  // Row-major view (the LP's own, else one transpose). With identity slacks
+  // the slack ns + i is the last entry of row i, so row i's structural
+  // entries are [row_start[i], row_end(i)).
+  SparseRows transposed;
+  if (lp.a_rows.empty()) transposed = transpose_to_rows(lp.a);
+  const SparseRows& rows = lp.a_rows.empty() ? transposed : lp.a_rows;
+  const std::vector<int>& row_start = rows.row_start;
+  const std::vector<int>& row_col = rows.col_index;
+  const std::vector<double>& row_val = rows.value;
+  const auto row_end = [&](int i) { return row_start[i + 1] - 1; };
+  std::vector<int> row_nnz(m, 0);  // live structural entries per row
+  for (int i = 0; i < m; ++i) row_nnz[i] = row_end(i) - row_start[i];
 
   std::vector<double> lb(lp.lower.begin(), lp.lower.begin() + ns);
   std::vector<double> ub(lp.upper.begin(), lp.upper.begin() + ns);
@@ -90,7 +107,7 @@ Presolved presolve_lp(const Lp& lp, const SimplexOptions& opt) {
   };
   auto kill_row = [&](int i) {
     // Dropping a row drops its slack column too.
-    for (int k = row_start[i]; k < row_start[i + 1]; ++k) {
+    for (int k = row_start[i]; k < row_end(i); ++k) {
       const int j = row_col[k];
       if (col_alive[j]) --col_alive_nnz[j];
     }
@@ -158,7 +175,7 @@ Presolved presolve_lp(const Lp& lp, const SimplexOptions& opt) {
         // so the row is redundant and can go.
         int j = -1;
         double a = 0.0;
-        for (int k = row_start[i]; k < row_start[i + 1]; ++k) {
+        for (int k = row_start[i]; k < row_end(i); ++k) {
           if (col_alive[row_col[k]]) {
             j = row_col[k];
             a = row_val[k];

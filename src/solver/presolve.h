@@ -71,8 +71,20 @@ struct Presolved {
 // columns are the per-row identity slacks. (If that invariant does not hold
 // the function returns an identity Presolved and the caller solves the
 // original.) Tolerances come from `opt` (feas_tol guards the feasibility
-// checks).
+// checks). Runs presolve_is_noop first and returns an identity Presolved
+// without building anything when it holds; otherwise presolve_fixpoint.
 Presolved presolve_lp(const Lp& lp, const SimplexOptions& opt);
+
+// Exact, O(n + nnz) no-op test: true when no structural column has
+// lower >= upper or no entries and every row has at least two structural
+// entries, read off lp.a_rows (an LP without a row view answers false).
+// Then no reduction can fire on the fixpoint's first pass, so the fixpoint
+// changes nothing. False does not imply a reduction: the fixpoint decides.
+bool presolve_is_noop(const Lp& lp);
+
+// The reduction fixpoint alone, without presolve_lp's no-op exit (exposed
+// so tests can check that the exit never changes the answer).
+Presolved presolve_fixpoint(const Lp& lp, const SimplexOptions& opt);
 
 // Lifts the reduced-space solution back to the original space. Copies every
 // scalar stat from `reduced_sol` and rebuilds x / dual / reduced_cost /

@@ -9,8 +9,9 @@
 //    variables (Maros-style composite objective, re-derived every iteration);
 //  * phase 2 minimizes the true cost; both phases share pricing, FTRAN and
 //    the two-pass (Harris-lite) ratio test;
-//  * pricing runs off a row-major mirror of A built once per solve. Full
-//    passes (Dantzig, phase 1, and incremental refreshes) accumulate
+//  * pricing runs off a row-major view of A: the LP's own (Model::lp builds
+//    it from its row store), else one transpose per solve. Full passes
+//    (Dantzig, phase 1, and incremental refreshes) accumulate
 //    d = c - A'y row by row, skipping rows with y == 0 — bit-identical to
 //    the per-column CSC dot because column entries arrive in the same
 //    ascending-row order. The default kIncremental mode *updates* phase-2
@@ -82,6 +83,31 @@ double primal_violation(const Lp& lp, const std::vector<double>& x) {
   return viol;
 }
 
+SparseRows transpose_to_rows(const SparseMatrix& a) {
+  SparseRows r;
+  r.row_start.assign(static_cast<std::size_t>(a.rows) + 1, 0);
+  const int nnz = a.nnz();
+  for (int k = 0; k < nnz; ++k) {
+    ++r.row_start[static_cast<std::size_t>(a.row_index[k]) + 1];
+  }
+  for (int i = 0; i < a.rows; ++i) {
+    r.row_start[static_cast<std::size_t>(i) + 1] +=
+        r.row_start[static_cast<std::size_t>(i)];
+  }
+  r.col_index.resize(static_cast<std::size_t>(nnz));
+  r.value.resize(static_cast<std::size_t>(nnz));
+  std::vector<int> fill(r.row_start.begin(), r.row_start.end() - 1);
+  for (int j = 0; j < a.cols; ++j) {
+    for (int k = a.col_start[j]; k < a.col_start[j + 1]; ++k) {
+      const int slot = fill[static_cast<std::size_t>(a.row_index[k])]++;
+      r.col_index[static_cast<std::size_t>(slot)] = j;
+      r.value[static_cast<std::size_t>(slot)] =
+          a.value[static_cast<std::size_t>(k)];
+    }
+  }
+  return r;
+}
+
 namespace {
 
 enum class VStat : char { kBasic, kAtLower, kAtUpper, kFree };
@@ -95,8 +121,20 @@ class Simplex {
     n_ = lp.a.cols;
     max_iter_ = opt.max_iterations > 0 ? opt.max_iterations
                                        : 20000 + 100 * (m_ + n_);
-    if (m_ > 0) build_row_mirror();
+    if (m_ > 0) {
+      // Row-major view of the full matrix (structural + slack columns): the
+      // LP's own when the Model supplied one, else one transpose per solve.
+      if (lp.a_rows.empty()) own_rows_ = transpose_to_rows(lp.a);
+      const SparseRows& rows = lp.a_rows.empty() ? own_rows_ : lp.a_rows;
+      row_start_ = rows.row_start.data();
+      row_col_ = rows.col_index.data();
+      row_val_ = rows.value.data();
+    }
   }
+
+  // row_start_/row_col_/row_val_ may point into own_rows_.
+  Simplex(const Simplex&) = delete;
+  Simplex& operator=(const Simplex&) = delete;
 
   bool warm_started() const { return warm_started_; }
 
@@ -175,33 +213,6 @@ class Simplex {
     }
     sol.status = LpStatus::kOptimal;
     return sol;
-  }
-
-  // Row-major mirror of the full constraint matrix (structural + slack
-  // columns), built once per solve. Costs one extra (int + double) per
-  // nonzero plus m+1 offsets; buys sparse-row pricing everywhere below.
-  void build_row_mirror() {
-    row_start_.assign(static_cast<std::size_t>(m_) + 1, 0);
-    const int nnz = lp_.a.nnz();
-    for (int k = 0; k < nnz; ++k) {
-      ++row_start_[static_cast<std::size_t>(lp_.a.row_index[k]) + 1];
-    }
-    for (int i = 0; i < m_; ++i) {
-      row_start_[static_cast<std::size_t>(i) + 1] +=
-          row_start_[static_cast<std::size_t>(i)];
-    }
-    row_col_.resize(static_cast<std::size_t>(nnz));
-    row_val_.resize(static_cast<std::size_t>(nnz));
-    std::vector<int> fill(row_start_.begin(), row_start_.end() - 1);
-    for (int j = 0; j < n_; ++j) {
-      for (int k = lp_.a.col_start[j]; k < lp_.a.col_start[j + 1]; ++k) {
-        const int i = lp_.a.row_index[k];
-        row_col_[static_cast<std::size_t>(fill[i])] = j;
-        row_val_[static_cast<std::size_t>(fill[i])] =
-            lp_.a.value[static_cast<std::size_t>(k)];
-        ++fill[i];
-      }
-    }
   }
 
   // Rebuilds vstat_/basis_ from a caller-supplied basis. Statuses are
@@ -841,9 +852,10 @@ class Simplex {
   std::vector<double> alpha_work_; // pivot-row scatter workspace (zeroed)
   std::vector<char> touched_mark_;
   std::vector<int> touched_;
-  std::vector<int> row_start_;     // row-major mirror of lp_.a
-  std::vector<int> row_col_;
-  std::vector<double> row_val_;
+  SparseRows own_rows_;            // transpose of lp_.a when no view came
+  const int* row_start_ = nullptr; // row-major view of lp_.a
+  const int* row_col_ = nullptr;
+  const double* row_val_ = nullptr;
   LuBasis inv_;
 };
 
@@ -1000,6 +1012,12 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
   ARROW_CHECK(lp.a.cols == static_cast<int>(lp.lower.size()), "lower size");
   ARROW_CHECK(lp.a.cols == static_cast<int>(lp.upper.size()), "upper size");
   ARROW_CHECK(lp.a.rows == static_cast<int>(lp.rhs.size()), "rhs size");
+  ARROW_CHECK(lp.a_rows.empty() ||
+                  (static_cast<int>(lp.a_rows.row_start.size()) ==
+                       lp.a.rows + 1 &&
+                   lp.a_rows.col_index.size() == lp.a.row_index.size() &&
+                   lp.a_rows.value.size() == lp.a.value.size()),
+              "row view shape");
   const SimplexOptions* override = ScopedSimplexOverride::active();
   SimplexOptions opt = override ? *override : options;
   // The binding deadline is the earliest of the caller's and every ambient
@@ -1082,8 +1100,8 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
     static obs::Counter& solves = reg.counter("arrow_solver_solves_total");
     static obs::Counter& iters =
         reg.counter("arrow_solver_simplex_iterations_total");
-    static obs::Counter& p1_iters =
-        reg.counter("arrow_solver_phase1_iterations_total");
+    static obs::Counter& feasibility_iters =
+        reg.counter("arrow_solver_feasibility_iterations_total");
     static obs::Counter& refactors =
         reg.counter("arrow_solver_refactorizations_total");
     static obs::Counter& warm_starts =
@@ -1098,13 +1116,13 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
         reg.counter("arrow_solver_pricing_candidates");
     static obs::Histogram& solve_seconds =
         reg.histogram("arrow_solver_solve_seconds");
-    static obs::Histogram& phase1_seconds =
-        reg.histogram("arrow_solver_phase1_seconds");
-    static obs::Histogram& phase2_seconds =
-        reg.histogram("arrow_solver_phase2_seconds");
+    static obs::Histogram& feasibility_seconds =
+        reg.histogram("arrow_solver_feasibility_seconds");
+    static obs::Histogram& optimality_seconds =
+        reg.histogram("arrow_solver_optimality_seconds");
     solves.add();
     iters.add(static_cast<std::uint64_t>(sol.iterations));
-    p1_iters.add(static_cast<std::uint64_t>(sol.phase1_iterations));
+    feasibility_iters.add(static_cast<std::uint64_t>(sol.phase1_iterations));
     refactors.add(static_cast<std::uint64_t>(sol.refactorizations));
     (sol.warm_started ? warm_starts : cold_starts).add();
     presolve_rows.add(static_cast<std::uint64_t>(sol.presolve_rows_removed));
@@ -1113,8 +1131,8 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
     solve_seconds.observe(std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - solve_t0)
                               .count());
-    phase1_seconds.observe(sol.phase1_seconds);
-    phase2_seconds.observe(sol.phase2_seconds);
+    feasibility_seconds.observe(sol.phase1_seconds);
+    optimality_seconds.observe(sol.phase2_seconds);
   }
   if (SolveObserver* observer = ScopedSolveObserver::active()) {
     (*observer)(lp, sol);

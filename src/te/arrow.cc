@@ -40,11 +40,13 @@ BaseVars add_base(solver::Model& model, const TeInput& input) {
     }
   }
   for (int f = 0; f < F; ++f) {
+    // b_f is declared just before its tunnels' a-variables, so listing it
+    // first hands add_constr an ascending row (the same merged row).
     solver::LinExpr sum;
+    sum.add_term(vars.b[static_cast<std::size_t>(f)], -1.0);
     for (const auto& v : vars.a[static_cast<std::size_t>(f)]) {
       sum.add_term(v, 1.0);
     }
-    sum -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
     model.add_constr(sum, solver::Sense::kGe, 0.0);
   }
   for (const auto& link : input.net().ip_links) {
@@ -155,6 +157,7 @@ void build_phase2(const TeInput& input, const ArrowPrepared& prepared,
     r.cover.reserve(input.affected_flows(q).size());
     for (int f : input.affected_flows(q)) {
       solver::LinExpr expr;
+      expr.add_term(vars.b[static_cast<std::size_t>(f)], -1.0);  // ascending
       const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
       for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
         const int flat = input.tunnel_index(f, static_cast<int>(ti));
@@ -163,7 +166,6 @@ void build_phase2(const TeInput& input, const ArrowPrepared& prepared,
           expr.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
         }
       }
-      expr -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
       r.cover.push_back(std::move(expr));
     }
     // (11): restorable tunnels fit within restored capacity r*.
@@ -275,6 +277,7 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
     r.cover.reserve(input.affected_flows(q).size());
     for (int f : input.affected_flows(q)) {
       solver::LinExpr expr;
+      expr.add_term(vars.b[static_cast<std::size_t>(f)], -1.0);  // ascending
       const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
       for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
         const int flat = input.tunnel_index(f, static_cast<int>(ti));
@@ -283,7 +286,6 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
           expr.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
         }
       }
-      expr -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
       r.cover.push_back(std::move(expr));
     }
     // Shared load expressions: allocation of union-restorable tunnels
@@ -328,10 +330,8 @@ void build_phase1(const TeInput& input, const ArrowPrepared& prepared,
         const auto dm = model.add_var(0.0, solver::kInf, 0.0);
         group.dp.push_back(dp);
         group.dm.push_back(dm);
-        solver::LinExpr row = rows[static_cast<std::size_t>(q)].link_load[li];
-        row.add_term(dp, -1.0);
-        row.add_term(dm, 1.0);
-        model.add_constr(row, solver::Sense::kLe, r);
+        model.add_constr(rows[static_cast<std::size_t>(q)].link_load[li],
+                         {{dp, -1.0}, {dm, 1.0}}, solver::Sense::kLe, r);
       }
     }
   }
@@ -690,7 +690,8 @@ Phase1BuildStats build_phase1_model(const TeInput& input,
                                     const ArrowPrepared& prepared,
                                     const ArrowParams& params,
                                     util::ThreadPool& pool,
-                                    const RestorabilityCache* cache) {
+                                    const RestorabilityCache* cache,
+                                    solver::Model* model_out) {
   const auto t0 = Clock::now();
   const auto naive = make_naive_tickets(prepared);
   std::optional<RestorabilityCache> local;
@@ -706,6 +707,7 @@ Phase1BuildStats build_phase1_model(const TeInput& input,
   stats.vars = p1.model.num_vars();
   stats.rows = p1.model.num_constrs();
   stats.model_fingerprint = p1.model.fingerprint();
+  if (model_out != nullptr) *model_out = std::move(p1.model);
   return stats;
 }
 

@@ -17,6 +17,10 @@
 #include "ticket/ticket.h"
 #include "util/parallel.h"
 
+namespace arrow::solver {
+class Model;
+}  // namespace arrow::solver
+
 namespace arrow::te {
 
 // Phase I decomposition knobs (see solve_phase1_decomposed below).
@@ -273,12 +277,14 @@ struct ModelBuildStats {
 };
 using Phase1BuildStats = ModelBuildStats;
 
-// Phase I (Table 2).
+// Phase I (Table 2). `model_out`, when given, receives the built model (how
+// bench_phase1_build times the LP assembly stages that follow the build).
 ModelBuildStats build_phase1_model(const TeInput& input,
                                    const ArrowPrepared& prepared,
                                    const ArrowParams& params,
                                    util::ThreadPool& pool,
-                                   const RestorabilityCache* cache = nullptr);
+                                   const RestorabilityCache* cache = nullptr,
+                                   solver::Model* model_out = nullptr);
 
 // Phase II (Table 3) against an explicit winner per scenario (-1 = naive
 // RWA-floor plan, the solve_arrow_with_winners convention).

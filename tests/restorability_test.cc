@@ -5,16 +5,20 @@
 // therefore bit-identical TE solutions — at any thread count, with the
 // cache shared or rebuilt locally. The single-thread private-cache build is
 // the baseline every other configuration is compared against.
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "solver/lp.h"
 #include "te/arrow.h"
 #include "te/basic.h"
 #include "topo/builders.h"
 #include "traffic/traffic.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace arrow::te {
@@ -274,6 +278,124 @@ TEST(RestorabilitySmall, IlpModelIsBuildConfigurationInvariant) {
           << " shared_cache=" << (cache != nullptr);
     }
   }
+}
+
+// --- fingerprint pins ------------------------------------------------------
+//
+// The tests above compare builds against each other; these pin absolute
+// values, recorded before the row store of solver::Model became a flat CSR
+// with a sort-free merge. Phase I and Phase II Model::fingerprint and a hash
+// of every LP the solver was handed (CSC arrays, costs, bounds, rhs — raw
+// bits, so even a -0.0 would show) must not move when the model or LP
+// assembly is reworked.
+
+// Raw-bit hash of an LP as solve_lp received it.
+void hash_lp(const solver::Lp& lp, util::Fnv1a* h) {
+  const auto raw = [h](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    h->u64(bits);
+  };
+  h->i32(lp.a.rows).i32(lp.a.cols);
+  for (int v : lp.a.col_start) h->i32(v);
+  for (int v : lp.a.row_index) h->i32(v);
+  for (double v : lp.a.value) raw(v);
+  for (const auto* vec : {&lp.cost, &lp.lower, &lp.upper, &lp.rhs}) {
+    for (double v : *vec) raw(v);
+  }
+}
+
+struct PinnedHashes {
+  std::uint64_t phase1_model = 0;
+  std::uint64_t phase2_model = 0;
+  std::uint64_t phase1_lps = 0;  // every LP solve_phase1 solved, in order
+  std::uint64_t phase2_lps = 0;  // every LP the Phase II solve solved
+  int phase1_lp_count = 0;
+  int phase2_lp_count = 0;
+};
+
+PinnedHashes pinned_hashes(const topo::Network& net, std::uint64_t seed,
+                           int tunnels, int tickets, double load) {
+  util::Rng rng(seed);
+  traffic::TrafficParams tp;
+  tp.num_matrices = 1;
+  const auto ms = traffic::generate_traffic(net, tp, rng);
+  scenario::ScenarioParams sp;
+  sp.probability_cutoff = 0.001;
+  auto set = scenario::generate_scenarios(net, sp, rng);
+  const auto scenarios = scenario::remove_disconnecting(net, set.scenarios);
+  TunnelParams tun;
+  tun.tunnels_per_flow = tunnels;
+  TeInput input(net, ms[0], scenarios, tun);
+  input.scale_demands(max_satisfiable_scale(input) * load);
+  ArrowParams params;
+  params.tickets.num_tickets = tickets;
+  util::ThreadPool pool(1);
+  const ArrowPrepared prepared = prepare_arrow(input, params, rng, pool);
+  const RestorabilityCache cache(input, prepared, pool);
+
+  PinnedHashes out;
+  util::Fnv1a h1, h2;
+  out.phase1_model =
+      build_phase1_model(input, prepared, params, pool, &cache)
+          .model_fingerprint;
+  Phase1Result p1;
+  {
+    solver::ScopedSolveObserver watch(
+        [&](const solver::Lp& lp, solver::LpSolution&) {
+          hash_lp(lp, &h1);
+          ++out.phase1_lp_count;
+        });
+    p1 = solve_phase1(input, prepared, params, pool, &cache);
+  }
+  EXPECT_TRUE(p1.optimal);
+  out.phase2_model =
+      build_phase2_model(input, prepared, p1.winners, params, pool, &cache)
+          .model_fingerprint;
+  {
+    solver::ScopedSolveObserver watch(
+        [&](const solver::Lp& lp, solver::LpSolution&) {
+          hash_lp(lp, &h2);
+          ++out.phase2_lp_count;
+        });
+    EXPECT_TRUE(
+        solve_arrow_with_winners(input, prepared, p1.winners, pool, &cache)
+            .optimal);
+  }
+  out.phase1_lps = h1.value();
+  out.phase2_lps = h2.value();
+  return out;
+}
+
+void expect_pins(const PinnedHashes& got, const PinnedHashes& want) {
+  EXPECT_EQ(got.phase1_model, want.phase1_model);
+  EXPECT_EQ(got.phase2_model, want.phase2_model);
+  EXPECT_EQ(got.phase1_lps, want.phase1_lps);
+  EXPECT_EQ(got.phase2_lps, want.phase2_lps);
+  EXPECT_EQ(got.phase1_lp_count, want.phase1_lp_count);
+  EXPECT_EQ(got.phase2_lp_count, want.phase2_lp_count);
+}
+
+TEST(FingerprintPins, B4ModelsAndLpsAreUnchanged) {
+  PinnedHashes want;
+  want.phase1_model = 0xbdd1f6039bef74ceull;
+  want.phase2_model = 0x11f6855a13d4c41bull;
+  want.phase1_lps = 0x2b55fd382486444full;
+  want.phase2_lps = 0x0052471e110389b4ull;
+  want.phase1_lp_count = 1;
+  want.phase2_lp_count = 1;
+  expect_pins(pinned_hashes(topo::build_b4(), 51, 6, 5, 0.8), want);
+}
+
+TEST(FingerprintPins, IbmModelsAndLpsAreUnchanged) {
+  PinnedHashes want;
+  want.phase1_model = 0x00ff2ddcf7053fd2ull;
+  want.phase2_model = 0x6ebdbae1f2855b1aull;
+  want.phase1_lps = 0x6c3449d51fbd7f62ull;
+  want.phase2_lps = 0x832ca1fdc24b97b4ull;
+  want.phase1_lp_count = 1;
+  want.phase2_lp_count = 1;
+  expect_pins(pinned_hashes(topo::build_ibm(), 2024, 6, 6, 0.6), want);
 }
 
 }  // namespace
