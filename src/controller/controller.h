@@ -182,11 +182,6 @@ struct ControllerReport {
   long long te_presolve_rows_removed = 0;
   long long te_presolve_cols_removed = 0;
   long long te_pricing_candidates = 0;
-  // Phase I decomposition totals across every ladder attempt (zero when
-  // ArrowParams::decomposition is off or the scheme never runs Phase I).
-  long long te_decomposition_rounds = 0;
-  long long te_decomposition_sub_solves = 0;
-  long long te_decomposition_cuts = 0;
   // TE periods in the horizon served by a rung below kPrimary or by a
   // solve that blew the te_budget_s deadline.
   int degraded_periods = 0;

@@ -250,9 +250,6 @@ LadderOutcome PlanningCore::solve(const te::TeInput& input) {
   r.te_presolve_rows_removed += out.presolve_rows;
   r.te_presolve_cols_removed += out.presolve_cols;
   r.te_pricing_candidates += out.pricing_candidates;
-  r.te_decomposition_rounds += out.decomposition_rounds;
-  r.te_decomposition_sub_solves += out.decomposition_sub_solves;
-  r.te_decomposition_cuts += out.decomposition_cuts;
   if (config_.te_budget_s > 0.0 && out.seconds > config_.te_budget_s) {
     ++r.deadline_overruns;
   }
@@ -314,9 +311,6 @@ obs::RunReport make_run_report(const ControllerReport& acc,
   rr.presolve_rows_removed = acc.te_presolve_rows_removed;
   rr.presolve_cols_removed = acc.te_presolve_cols_removed;
   rr.pricing_candidates = acc.te_pricing_candidates;
-  rr.decomposition_rounds = acc.te_decomposition_rounds;
-  rr.decomposition_sub_solves = acc.te_decomposition_sub_solves;
-  rr.decomposition_cuts = acc.te_decomposition_cuts;
   rr.warm_start_hits = acc.warm_start_hits;
   rr.warm_start_stores = acc.warm_start_stores;
   rr.basis_seeded = acc.basis_seeded;

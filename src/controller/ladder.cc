@@ -76,9 +76,6 @@ LadderOutcome solve_with_ladder(schemes::Scheme& scheme,
     out.presolve_rows += out.sol.presolve_rows_removed;
     out.presolve_cols += out.sol.presolve_cols_removed;
     out.pricing_candidates += out.sol.pricing_candidates;
-    out.decomposition_rounds += out.sol.decomposition_rounds;
-    out.decomposition_sub_solves += out.sol.decomposition_sub_solves;
-    out.decomposition_cuts += out.sol.decomposition_cuts;
   };
 
   if (!deadline.expired()) {

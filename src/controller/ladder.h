@@ -51,11 +51,6 @@ struct LadderOutcome {
   long long presolve_rows = 0;
   long long presolve_cols = 0;
   long long pricing_candidates = 0;
-  // Phase I decomposition totals across all attempts (zero when the
-  // monolithic path — or a non-ARROW scheme — ran).
-  long long decomposition_rounds = 0;
-  long long decomposition_sub_solves = 0;
-  long long decomposition_cuts = 0;
   int timeouts = 0;          // LP solves that returned kTimedOut
   int backoff_retries = 0;   // backoff sleeps taken between rungs
 };

@@ -54,11 +54,13 @@ struct RunReport {
   // crash-consistency journal + basis-store save-error fields.
   // v3: adds solver-internals telemetry (presolve reductions, pricing
   // candidates).
-  // v4: adds Phase I decomposition counters (master rounds, sub-LP solves,
-  // lazily generated rows).
+  // v4: adds counters for a second Phase I solver (master rounds, sub-LP
+  // solves, lazily generated rows).
   // v5: adds localized-repair counters (ReWeave-style cut-time repairs:
   // counts, global fallbacks, pivots, solve seconds).
-  static constexpr int kVersion = 5;
+  // v6: drops v4's three counters together with that solver: Phase I is
+  // one LP.
+  static constexpr int kVersion = 6;
 
   std::string run_id;
   std::string scheme;
@@ -94,11 +96,6 @@ struct RunReport {
   long long presolve_rows_removed = 0;
   long long presolve_cols_removed = 0;
   long long pricing_candidates = 0;
-  // Phase I decomposition totals across every ladder attempt (v4; zero when
-  // ArrowParams::decomposition is off or the scheme never runs Phase I).
-  long long decomposition_rounds = 0;
-  long long decomposition_sub_solves = 0;
-  long long decomposition_cuts = 0;
   // Warm-start traffic of the run's ScopedWarmStartCache and BasisStore.
   int warm_start_hits = 0;
   int warm_start_stores = 0;

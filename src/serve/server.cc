@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -247,10 +248,29 @@ std::string Server::handle_line(const std::string& line, bool* close_conn,
 }
 
 void Server::process_client(Client& c) {
+  if (c.close_after_flush) {  // a closing connection takes no more requests
+    c.in.clear();
+    return;
+  }
+  const auto reject_oversized = [&c] {
+    static obs::Counter& rejected =
+        obs::Registry::global().counter("arrow_serve_rejected_lines_total");
+    rejected.add();
+    c.out += error_line("request line exceeds " +
+                        std::to_string(kMaxRequestLineBytes) + " bytes");
+    c.in.clear();
+    c.scanned = 0;
+    c.close_after_flush = true;
+  };
   std::size_t start = 0;
   for (;;) {
-    const std::size_t nl = c.in.find('\n', start);
+    // Bytes before c.scanned held no '\n' on an earlier pass: skip them.
+    const std::size_t nl = c.in.find('\n', std::max(start, c.scanned));
     if (nl == std::string::npos) break;
+    if (nl - start > kMaxRequestLineBytes) {
+      reject_oversized();
+      return;
+    }
     std::string line = c.in.substr(start, nl - start);
     start = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -261,10 +281,13 @@ void Server::process_client(Client& c) {
     if (stop_server) stop_.store(true, std::memory_order_relaxed);
     if (close_conn) {
       c.close_after_flush = true;
-      break;
+      c.in.clear();
+      return;
     }
   }
   c.in.erase(0, start);
+  c.scanned = c.in.size();
+  if (c.in.size() > kMaxRequestLineBytes) reject_oversized();
 }
 
 // Sends the pending output. Local sockets and small replies: a short write

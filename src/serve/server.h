@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -24,6 +25,15 @@
 #include "serve/engine.h"
 
 namespace arrow::serve {
+
+// Longest request line a client may send. The largest line a built-in
+// network produces is FBsynth's `topology` request: 71,397 bytes with the
+// .topo text JSON-escaped (its `tick` lines are ~31 KB). 1 MiB leaves ~14x
+// headroom. A longer line, complete or still unterminated, gets one error
+// reply, bumps arrow_serve_rejected_lines_total and closes the connection;
+// without the cap a client that never sends '\n' grows its input buffer
+// until the daemon runs out of memory.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct ServerConfig {
   // Exactly one of these should be set: a filesystem path for a Unix
@@ -65,6 +75,7 @@ class Server {
   struct Client {
     int fd = -1;
     std::string in;   // bytes received, not yet framed into lines
+    std::size_t scanned = 0;  // prefix of `in` already searched for '\n'
     std::string out;  // bytes to send
     bool close_after_flush = false;
   };

@@ -207,10 +207,8 @@ SweepResult run_sweep(const topo::Network& net,
     const auto& mcache = caches[static_cast<std::size_t>(job.mi)];
     const te::RestorabilityCache* rcache = mcache ? &*mcache : nullptr;
     // Model builds inside a chain stay on this worker thread (the chains
-    // themselves are the parallelism). With the Phase I decomposition
-    // enabled this also runs its per-scenario sub-LPs inline, which keeps
-    // the chain's ambient hooks (warm-start cache, fault observers,
-    // deadlines) visible to every sub-LP solve.
+    // themselves are the parallelism), which keeps the chain's ambient hooks
+    // (warm-start cache, fault observers, deadlines) visible to every solve.
     util::ThreadPool chain_pool(1);
     std::optional<solver::ScopedWarmStartCache> cache;
     if (params.warm_start) cache.emplace();

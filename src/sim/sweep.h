@@ -44,10 +44,7 @@ struct SweepResult {
   // Total simplex pivots per scheme, summed over matrices and scales (not
   // averaged). The warm-start win shows up here: same availability curve,
   // fewer pivots. Telemetry about the path taken, not part of the scientific
-  // output: flipping ArrowParams::decomposition changes which LPs run (master
-  // rounds + per-scenario sub-LPs vs one monolithic Phase I), so this total
-  // legitimately differs while availability/throughput/winners stay
-  // byte-identical (tests/decomposition_test.cc).
+  // output.
   std::map<std::string, long long> simplex_iterations;
 
   // solve_failures[scheme][scale index]: matrices whose TE solve came back
@@ -55,10 +52,7 @@ struct SweepResult {
   // availability/throughput means (a failed solve used to be silently
   // averaged in as 0.0, dragging the curve down with no signal); a slot
   // where every matrix failed reports 0 availability and its failure count
-  // carries the evidence. The decomposed Phase I keeps the contract: any
-  // non-optimal master or per-scenario sub-LP solve fails the whole ARROW
-  // solve (TeSolution::optimal == false), so a single poisoned sub-LP lands
-  // here for exactly the (scheme, scale) slots it hit.
+  // carries the evidence.
   std::map<std::string, std::vector<int>> solve_failures;
 
   // Runtime-repair telemetry, summed over matrices, scales, and scenarios.

@@ -21,24 +21,23 @@ namespace {
 // On-disk layout (all integers little-endian, fixed width):
 //
 //   bytes 0..3    magic "ARBS"
-//   bytes 4..7    format version (u32, currently 2)
+//   bytes 4..7    format version (u32, currently 3)
 //   bytes 8..15   entry count (u64)
 //   per entry:    topo_hash u64, scenario_hash u64, rows i32, cols i32,
-//                 tag u64, status count u64, then that many status bytes
-//                 (each 0..3)
+//                 status count u64, then that many status bytes (each 0..3)
 //   trailer:      FNV-1a 64-bit checksum (u64) over every preceding byte
 //
-// v2 added the per-entry WarmKey tag (the Phase I decomposition keys its
-// per-scenario sub-LP bases by scenario). A v1 file — or any other version —
-// is rejected by load() and the run degrades to a cold start, the documented
-// contract for every unexpected file.
+// v3 dropped v2's per-entry u64 tag (between cols and the status count):
+// every LP is keyed by its shape alone. A v1 or v2 file — or any other
+// version — is rejected by load() and the run degrades to a cold start, the
+// documented contract for every unexpected file.
 //
 // The checksum makes truncation and bit rot detectable without trusting any
 // length field; the per-entry bounds checks below make a *valid-checksum*
 // file from a future version (or a hostile one) unable to write garbage
 // statuses into the store.
 constexpr char kMagic[4] = {'A', 'R', 'B', 'S'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -128,8 +127,7 @@ int BasisStore::seed(std::uint64_t topo_hash, std::uint64_t scenario_hash,
       break;
     }
     touch(it->second);
-    cache.preload(it->first.rows, it->first.cols, it->second.basis,
-                  it->first.tag);
+    cache.preload(it->first.rows, it->first.cols, it->second.basis);
     ++n;
   }
   static obs::Counter& seeded =
@@ -148,7 +146,6 @@ int BasisStore::absorb(std::uint64_t topo_hash, std::uint64_t scenario_hash,
     key.scenario_hash = scenario_hash;
     key.rows = wk.rows;
     key.cols = wk.cols;
-    key.tag = wk.tag;
     Entry& entry = entries_[key];
     entry.basis = basis;
     touch(entry);
@@ -196,7 +193,6 @@ bool BasisStore::save(const std::string& path) const {
       put_u64(buf, key.scenario_hash);
       put_i32(buf, key.rows);
       put_i32(buf, key.cols);
-      put_u64(buf, key.tag);
       put_u64(buf, static_cast<std::uint64_t>(basis.status.size()));
       for (BasisStatus s : basis.status) {
         buf.push_back(static_cast<char>(s));
@@ -276,7 +272,6 @@ bool BasisStore::load_internal(const std::string& path, bool file_wins) {
     key.scenario_hash = r.u64();
     key.rows = r.i32();
     key.cols = r.i32();
-    key.tag = r.u64();
     const std::uint64_t n = r.u64();
     if (!r.ok || key.rows < 0 || key.cols < 0 || n > r.size - r.pos) {
       return false;

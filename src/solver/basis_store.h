@@ -11,9 +11,7 @@
 //
 // Keys hash the *structure* that determines LP geometry (topology wiring and
 // capacities via topo::structure_hash, the failure scenario set via
-// scenario::set_hash) plus the LP's (rows, cols) shape and its WarmKey tag
-// (0 for ordinary solves; the Phase I decomposition tags its master and
-// per-scenario sub-LP bases so controller ticks chain them individually).
+// scenario::set_hash) plus the LP's (rows, cols) shape.
 // Collisions and stale entries are harmless by the same argument as the
 // scoped cache: a mismatched basis is just a poor starting vertex and the
 // simplex falls back to (or retries from) the all-slack start, so
@@ -46,9 +44,6 @@ class BasisStore {
     std::uint64_t scenario_hash = 0;
     int rows = 0;
     int cols = 0;
-    // WarmKey tag of the originating solve (0 = untagged). Last so aggregate
-    // initializers predating the field keep meaning what they said.
-    std::uint64_t tag = 0;
 
     bool operator<(const Key& o) const {
       if (topo_hash != o.topo_hash) return topo_hash < o.topo_hash;
@@ -56,8 +51,7 @@ class BasisStore {
         return scenario_hash < o.scenario_hash;
       }
       if (rows != o.rows) return rows < o.rows;
-      if (cols != o.cols) return cols < o.cols;
-      return tag < o.tag;
+      return cols < o.cols;
     }
   };
 

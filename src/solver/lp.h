@@ -12,7 +12,6 @@
 // anti-cycling fallback.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
@@ -213,60 +212,37 @@ class ScopedSolveObserver {
   SolveObserver* previous_;
 };
 
-// Warm-start cache key: LP shape plus a caller-chosen tag. The tag
-// disambiguates same-shaped LPs that must not share a basis slot — the
-// Phase I decomposition's per-scenario sub-LPs all have identical shapes,
-// and its master LP could collide with an unrelated model of the same size.
-// Tag 0 is the untagged default every pre-existing call site keeps using.
+// Warm-start cache key: the LP's shape.
 struct WarmKey {
   int rows = 0;
   int cols = 0;
-  std::uint64_t tag = 0;
 
   bool operator<(const WarmKey& o) const {
     if (rows != o.rows) return rows < o.rows;
-    if (cols != o.cols) return cols < o.cols;
-    return tag < o.tag;
+    return cols < o.cols;
   }
-};
-
-// Tags the ambient warm-start key for every solve_lp() in scope on this
-// thread (same scoped thread-local discipline as the other hooks; nesting
-// shadows, destruction restores). The decomposition wraps each sub-LP solve
-// in a guard carrying that scenario's tag so chained re-solves of scenario q
-// warm-start from scenario q's own basis and never from a neighbor's.
-class ScopedBasisTag {
- public:
-  explicit ScopedBasisTag(std::uint64_t tag);
-  ~ScopedBasisTag();
-  ScopedBasisTag(const ScopedBasisTag&) = delete;
-  ScopedBasisTag& operator=(const ScopedBasisTag&) = delete;
-
-  // The tag in effect on this thread (0 when none).
-  static std::uint64_t active();
-
- private:
-  std::uint64_t previous_;
 };
 
 // Ambient warm-start cache (same thread-local scoped discipline as the two
 // hooks above). While in scope, every solve_lp() on this thread looks up a
-// stored basis keyed by the LP's (rows, cols) shape and the active
-// ScopedBasisTag before falling back to the all-slack start, and stores its
-// final basis back after an optimal finish. A chain of same-shaped re-solves
-// — the evaluation sweep's demand scale grid, where each scale's TE LP
-// differs from the previous one only in bounds and rhs — then warm-starts
-// link to link with zero plumbing through the TE layer. Shape collisions
-// between *different* untagged models are harmless: a mismatched basis is
-// just a poor starting vertex, and phase 1 (or the cold retry) restores
+// stored basis keyed by the LP's (rows, cols) shape before falling back to
+// the all-slack start, and stores its final basis back after an optimal
+// finish. A chain of same-shaped re-solves — the evaluation sweep's demand
+// scale grid, where each scale's TE LP differs from the previous one only
+// in bounds and rhs — then warm-starts link to link with zero plumbing
+// through the TE layer. Shape collisions
+// between *different* models are harmless: a mismatched basis is just a
+// poor starting vertex, and phase 1 (or the cold retry) restores
 // correctness.
 //
-// Thread-safety: find/lookup/store/preload are serialized by an internal
-// mutex, so pool workers solving the decomposition's per-scenario sub-LPs
-// may consult the owning chain's cache concurrently (std::map node pointers
-// stay valid under inserts of other keys, so a pointer returned by find()
-// remains usable after the lock is released). entries()/hits()/stores() are
-// snapshot accessors — call them after parallel work has quiesced.
+// Thread-safety: find/store/preload are serialized by an internal mutex.
+// Every solve that reaches the cache runs on the thread that installed it
+// (pool workers start with empty hook chains, util/parallel.h), so the lock
+// is uncontended; it keeps a cache reached from another thread safe all the
+// same (std::map node pointers stay valid under inserts of other keys, so a
+// pointer returned by find() remains usable after the lock is released).
+// entries()/hits()/stores() are snapshot accessors — call them after
+// parallel work has quiesced.
 class ScopedWarmStartCache {
  public:
   ScopedWarmStartCache();
@@ -277,16 +253,14 @@ class ScopedWarmStartCache {
   static ScopedWarmStartCache* active();
 
   // Counts a hit when an entry exists.
-  const Basis* find(int rows, int cols, std::uint64_t tag = 0);
-  // Copy-out variant for cross-thread use (counts a hit exactly like find).
-  bool lookup(int rows, int cols, std::uint64_t tag, Basis* out);
-  void store(int rows, int cols, Basis basis, std::uint64_t tag = 0);
+  const Basis* find(int rows, int cols);
+  void store(int rows, int cols, Basis basis);
 
   // Seeds an entry without counting it as a store — how BasisStore::seed
   // preloads a fresh cache with bases persisted from earlier runs, keeping
   // hits()/stores() meaningful for this run alone.
-  void preload(int rows, int cols, Basis basis, std::uint64_t tag = 0);
-  // Snapshot of the stored entries, keyed by (shape, tag) — how
+  void preload(int rows, int cols, Basis basis);
+  // Snapshot of the stored entries, keyed by shape — how
   // BasisStore::absorb persists a finished run's bases.
   const std::map<WarmKey, Basis>& entries() const { return entries_; }
 

@@ -863,7 +863,6 @@ thread_local const SimplexOptions* active_simplex_override = nullptr;
 thread_local SolveObserver* active_solve_observer = nullptr;
 thread_local ScopedWarmStartCache* active_warm_cache = nullptr;
 thread_local ScopedSolveDeadline* active_solve_deadline = nullptr;
-thread_local std::uint64_t active_basis_tag = 0;
 
 // Runs the simplex with the standard warm-retry contract: a warm-started
 // solve that ends in numerical error is retried cold from the all-slack
@@ -963,47 +962,26 @@ bool ScopedSolveDeadline::any_active() {
   return active_solve_deadline != nullptr;
 }
 
-ScopedBasisTag::ScopedBasisTag(std::uint64_t tag) : previous_(active_basis_tag) {
-  active_basis_tag = tag;
-}
-
-ScopedBasisTag::~ScopedBasisTag() { active_basis_tag = previous_; }
-
-std::uint64_t ScopedBasisTag::active() { return active_basis_tag; }
-
-const Basis* ScopedWarmStartCache::find(int rows, int cols,
-                                        std::uint64_t tag) {
+const Basis* ScopedWarmStartCache::find(int rows, int cols) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(WarmKey{rows, cols, tag});
+  const auto it = entries_.find(WarmKey{rows, cols});
   if (it == entries_.end()) return nullptr;
   ++hits_;
-  // Map nodes are stable under inserts of other keys, and distinct
-  // (shape, tag) keys are never overwritten concurrently in our use, so the
-  // pointer stays valid past the lock.
+  // Map nodes are stable under inserts of other keys, and distinct shapes
+  // are never overwritten concurrently in our use, so the pointer stays
+  // valid past the lock.
   return &it->second;
 }
 
-bool ScopedWarmStartCache::lookup(int rows, int cols, std::uint64_t tag,
-                                  Basis* out) {
+void ScopedWarmStartCache::store(int rows, int cols, Basis basis) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(WarmKey{rows, cols, tag});
-  if (it == entries_.end()) return false;
-  ++hits_;
-  *out = it->second;
-  return true;
-}
-
-void ScopedWarmStartCache::store(int rows, int cols, Basis basis,
-                                 std::uint64_t tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[WarmKey{rows, cols, tag}] = std::move(basis);
+  entries_[WarmKey{rows, cols}] = std::move(basis);
   ++stores_;
 }
 
-void ScopedWarmStartCache::preload(int rows, int cols, Basis basis,
-                                   std::uint64_t tag) {
+void ScopedWarmStartCache::preload(int rows, int cols, Basis basis) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_[WarmKey{rows, cols, tag}] = std::move(basis);
+  entries_[WarmKey{rows, cols}] = std::move(basis);
 }
 
 LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
@@ -1028,7 +1006,7 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
   ScopedWarmStartCache* cache = ScopedWarmStartCache::active();
   const Basis* warm = warm_start;
   if (warm == nullptr && cache != nullptr) {
-    warm = cache->find(lp.a.rows, lp.a.cols, ScopedBasisTag::active());
+    warm = cache->find(lp.a.rows, lp.a.cols);
   }
   OBS_SPAN("lp_solve");
   const auto solve_t0 = std::chrono::steady_clock::now();
@@ -1084,7 +1062,7 @@ LpSolution solve_lp(const Lp& lp, const SimplexOptions& options,
     // A timed-out basis is the furthest vertex the budget bought; storing it
     // lets the retry (or the next period's solve) resume from there instead
     // of repeating the pivots already paid for.
-    cache->store(lp.a.rows, lp.a.cols, sol.basis, ScopedBasisTag::active());
+    cache->store(lp.a.rows, lp.a.cols, sol.basis);
   }
   if (sol.status == LpStatus::kTimedOut) {
     static obs::Counter& timeouts =

@@ -5,7 +5,6 @@
 #include <map>
 #include <optional>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/model.h"
 #include "util/check.h"
@@ -444,25 +443,7 @@ void build_ilp(const TeInput& input, const ArrowPrepared& prepared,
   }
 }
 
-// ---- Phase I decomposition helpers -----------------------------------------
-
-// Warm-start tags for the decomposition's LPs. Every solve the decomposition
-// adds is tagged (nonzero), so its bases live in their own keyspace and can
-// never displace — or be displaced by — the untagged bases of the monolithic
-// Phase I / Phase II chain. That isolation is what keeps sweep output
-// byte-identical decomposition on vs off: the Phase II solves see exactly
-// the same warm-start chain either way.
-constexpr std::uint64_t kMasterBasisTag = 0x41525257u;  // "ARRW"
-
-// splitmix64 finalizer: per-scenario sub-LP tag, stable across runs and
-// processes (BasisStore persists it to disk).
-std::uint64_t sub_lp_tag(int q) {
-  std::uint64_t x = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(q);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x != 0 ? x : 1;
-}
+// ---- Phase I helpers ------------------------------------------------------
 
 std::vector<std::vector<double>> extract_alloc(solver::Model& model,
                                                const BaseVars& vars) {
@@ -475,8 +456,8 @@ std::vector<std::vector<double>> extract_alloc(solver::Model& model,
 }
 
 // Union-restorable allocation crossing each failed link of scenario q, in
-// the fixed tunnels_on_link order — the one summation order both Phase I
-// paths share, so identical allocations give bit-identical loads.
+// the fixed tunnels_on_link order, so identical allocations give
+// bit-identical loads.
 std::vector<double> scenario_link_loads(
     const TeInput& input, const RestorabilityCache& cache, int q,
     const ticket::TicketSet& tickets,
@@ -773,9 +754,6 @@ std::vector<double> phase1_slack_totals(
 Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
                           const ArrowParams& params, util::ThreadPool& pool,
                           const RestorabilityCache* cache) {
-  if (params.decomposition.enabled) {
-    return solve_phase1_decomposed(input, prepared, params, pool, cache);
-  }
   const int Q = input.num_scenarios();
   ARROW_CHECK(static_cast<int>(prepared.tickets.size()) == Q,
               "prepared/scenario mismatch");
@@ -804,292 +782,6 @@ Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
   return out;
 }
 
-Phase1Result solve_phase1_decomposed(const TeInput& input,
-                                     const ArrowPrepared& prepared,
-                                     const ArrowParams& params,
-                                     util::ThreadPool& pool,
-                                     const RestorabilityCache* cache) {
-  OBS_SPAN("phase1_decomposed");
-  const int Q = input.num_scenarios();
-  ARROW_CHECK(static_cast<int>(prepared.tickets.size()) == Q,
-              "prepared/scenario mismatch");
-  std::optional<RestorabilityCache> local;
-  if (cache == nullptr) {
-    local.emplace(input, prepared, pool);
-    cache = &*local;
-  }
-  const auto& naive = cache->naive_tickets();
-
-  Phase1Result out;
-  out.decomposed = true;
-  const auto t0 = Clock::now();
-  const auto elapsed = [&] {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-
-  // Master: shared allocation plus one penalty variable theta_q >= f_q(a)
-  // per scenario, where f_q is the scenario's true slack total
-  // sum_z sum_li max(0, load_li - r_li^z). Scenario rows start absent and are
-  // priced in below.
-  solver::Model master;
-  master.set_maximize();
-  const BaseVars vars = add_base(master, input);
-  std::vector<solver::VarId> theta;
-  theta.reserve(static_cast<std::size_t>(Q));
-  for (int q = 0; q < Q; ++q) {
-    theta.push_back(master.add_var(0.0, solver::kInf, -params.slack_penalty));
-  }
-  // cover_present[q][i]: cover row (4) for affected flow i of scenario q is
-  // already in the master. Mutated only in the serial append section.
-  std::vector<std::vector<char>> cover_present(static_cast<std::size_t>(Q));
-  for (int q = 0; q < Q; ++q) {
-    cover_present[static_cast<std::size_t>(q)].assign(
-        input.affected_flows(q).size(), 0);
-  }
-
-  // Ambient context captured on the calling thread: pool workers have empty
-  // hook chains (util/parallel.h), so the sub-LP bodies re-establish the
-  // warm-start chain by explicit lookup/store and the deadline via
-  // SimplexOptions. Inline execution (ThreadPool(1), or a pool that runs the
-  // body on the caller) keeps the ambient path — the `cross_thread` test
-  // below distinguishes the two per body invocation.
-  solver::ScopedWarmStartCache* chain = solver::ScopedWarmStartCache::active();
-  const util::Deadline ambient_deadline =
-      solver::ScopedSolveDeadline::active_deadline();
-
-  struct PerScenario {
-    std::vector<std::size_t> new_cover_idx;       // into affected_flows(q)
-    std::vector<solver::LinExpr> new_cover;       // parallel to new_cover_idx
-    bool add_cut = false;
-    solver::LinExpr cut;                          // theta_q - sum cnt*load
-    double cut_rhs = 0.0;
-    bool sub_ran = false;
-    bool sub_failed = false;
-    bool sub_timeout_uncounted = false;
-    long long iters = 0, prows = 0, pcols = 0, pcand = 0;
-  };
-
-  std::vector<std::vector<double>> alloc;
-  bool converged = false;
-  while (out.rounds < params.decomposition.max_rounds) {
-    solver::SolveResult mres;
-    {
-      solver::ScopedBasisTag tag(kMasterBasisTag);
-      OBS_SPAN("phase1_master_solve");
-      mres = master.solve();
-    }
-    ++out.rounds;
-    out.objective = mres.objective;
-    add_solve_stats(mres, &out);
-    if (!mres.optimal()) {
-      out.seconds = elapsed();
-      return out;  // optimal stays false: same contract as the monolithic LP
-    }
-
-    alloc = extract_alloc(master, vars);
-    std::vector<double> bvals(vars.b.size());
-    for (std::size_t f = 0; f < vars.b.size(); ++f) {
-      bvals[f] = master.value(vars.b[f]);
-    }
-    std::vector<double> thetav(theta.size());
-    for (std::size_t q = 0; q < theta.size(); ++q) {
-      thetav[q] = master.value(theta[q]);
-    }
-
-    // Pricing fan-out: every decision below is a closed-form function of the
-    // master solution extracted above, so the appended rows — and with them
-    // the whole trajectory — are bit-identical at any thread count. The
-    // sub-LP supplies telemetry, the failure signal and the warm-start chain
-    // entry for scenario q; its solution is never consulted for control flow.
-    std::vector<PerScenario> ps(static_cast<std::size_t>(Q));
-    pool.parallel_for(0, Q, [&](int q) {
-      const auto& tickets = prepared.tickets[static_cast<std::size_t>(q)];
-      const auto& any = cache->union_flags(q);
-      PerScenario& s = ps[static_cast<std::size_t>(q)];
-
-      // Violated cover rows (4), same union-restorable filter as
-      // build_phase1.
-      const auto& affected = input.affected_flows(q);
-      const auto& present = cover_present[static_cast<std::size_t>(q)];
-      for (std::size_t i = 0; i < affected.size(); ++i) {
-        if (present[i]) continue;
-        const int f = affected[i];
-        const auto& tunnels = input.tunnels()[static_cast<std::size_t>(f)];
-        double lhs = -bvals[static_cast<std::size_t>(f)];
-        for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-          const int flat = input.tunnel_index(f, static_cast<int>(ti));
-          if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
-              any[static_cast<std::size_t>(flat)]) {
-            lhs += alloc[static_cast<std::size_t>(f)][ti];
-          }
-        }
-        if (lhs < -1e-9) {
-          solver::LinExpr expr;
-          for (std::size_t ti = 0; ti < tunnels.size(); ++ti) {
-            const int flat = input.tunnel_index(f, static_cast<int>(ti));
-            if (input.tunnel_alive(f, static_cast<int>(ti), q) ||
-                any[static_cast<std::size_t>(flat)]) {
-              expr.add_term(vars.a[static_cast<std::size_t>(f)][ti], 1.0);
-            }
-          }
-          expr -= solver::LinExpr(vars.b[static_cast<std::size_t>(f)]);
-          s.new_cover_idx.push_back(i);
-          s.new_cover.push_back(std::move(expr));
-        }
-      }
-
-      const std::size_t L = tickets.failed_links.size();
-      if (L == 0) return;  // f_q = 0 and theta_q >= 0: never violated
-      const auto loads = scenario_link_loads(input, *cache, q, tickets, alloc);
-      const int Z =
-          std::max<int>(1, static_cast<int>(tickets.tickets.size()));
-
-      // True penalty and, when theta_q undershoots it, the optimality cut
-      //   theta_q - sum_li cnt_li * load_li(a) >= -sum_{active} r_li^z
-      // with the active set {(z, li): load_li - r_li^z > 0} at the current
-      // master point. A present cut's value at its own generating point
-      // equals f_q, so gap > tolerance implies the cut is new — the loop
-      // cannot stall.
-      double true_penalty = 0.0;
-      std::vector<int> cnt(L, 0);
-      double cut_rhs = 0.0;
-      for (int z = 0; z < Z; ++z) {
-        const auto& ticket = ticket_or_naive(prepared, naive, q,
-                                             tickets.tickets.empty() ? -1 : z);
-        for (std::size_t li = 0; li < L; ++li) {
-          if (loads[li] - ticket.gbps[li] > 0.0) {
-            true_penalty += loads[li] - ticket.gbps[li];
-            ++cnt[li];
-            cut_rhs -= ticket.gbps[li];
-          }
-        }
-      }
-      if (true_penalty - thetav[static_cast<std::size_t>(q)] >
-          params.decomposition.tolerance) {
-        solver::LinExpr cut{theta[static_cast<std::size_t>(q)]};
-        for (std::size_t li = 0; li < L; ++li) {
-          if (cnt[li] == 0) continue;
-          for (const auto& lt :
-               input.tunnels_on_link(tickets.failed_links[li])) {
-            if (any[static_cast<std::size_t>(lt.flat)]) {
-              cut.add_term(vars.a[static_cast<std::size_t>(lt.flow)]
-                                 [static_cast<std::size_t>(lt.ti)],
-                           -static_cast<double>(cnt[li]));
-            }
-          }
-        }
-        s.add_cut = true;
-        s.cut = std::move(cut);
-        s.cut_rhs = cut_rhs;
-      }
-
-      // Scenario sub-LP: min penalty * sum dp  s.t.  dp - dm >= load - r per
-      // (z, li), z-major. Its optimum is penalty * f_q and its final basis is
-      // scenario q's warm-start chain entry. Shape: Z*L rows, 3*Z*L lowered
-      // columns (2 structural + 1 slack per row) — the handle the resilience
-      // fault-injection tests match sub-LPs by.
-      solver::Model sub;
-      std::vector<std::vector<solver::VarId>> dp(static_cast<std::size_t>(Z));
-      for (int z = 0; z < Z; ++z) {
-        auto& row = dp[static_cast<std::size_t>(z)];
-        row.reserve(L);
-        for (std::size_t li = 0; li < L; ++li) {
-          const auto d = sub.add_var(0.0, solver::kInf, params.slack_penalty);
-          const auto m = sub.add_var(0.0, solver::kInf, 0.0);
-          solver::LinExpr r{d};
-          r.add_term(m, -1.0);
-          const auto& ticket = ticket_or_naive(
-              prepared, naive, q, tickets.tickets.empty() ? -1 : z);
-          sub.add_constr(r, solver::Sense::kGe, loads[li] - ticket.gbps[li]);
-          row.push_back(d);
-        }
-      }
-      sub.simplex_options().deadline = ambient_deadline;
-      const std::uint64_t tag = sub_lp_tag(q);
-      const int rows = sub.num_constrs();
-      const int cols = sub.num_vars() + sub.num_constrs();
-      const bool cross_thread =
-          chain != nullptr && solver::ScopedWarmStartCache::active() != chain;
-      solver::SolveResult sres;
-      if (cross_thread) {
-        solver::Basis warm;
-        const bool have = chain->lookup(rows, cols, tag, &warm);
-        sres = sub.solve(have ? &warm : nullptr);
-        if ((sres.status == solver::SolveStatus::kOptimal ||
-             sres.status == solver::SolveStatus::kTimedOut) &&
-            !sres.basis.empty()) {
-          chain->store(rows, cols, sres.basis, tag);
-        }
-      } else {
-        solver::ScopedBasisTag guard(tag);
-        sres = sub.solve();
-      }
-      s.sub_ran = true;
-      s.sub_failed = !sres.optimal();
-      s.sub_timeout_uncounted =
-          sres.status == solver::SolveStatus::kTimedOut &&
-          !solver::ScopedSolveDeadline::any_active();
-      s.iters = sres.simplex_iterations;
-      s.prows = sres.presolve_rows_removed;
-      s.pcols = sres.presolve_cols_removed;
-      s.pcand = sres.pricing_candidates;
-    });
-
-    // Serial fixed-q-order merge: telemetry, timeout replay, row append.
-    bool appended = false;
-    bool sub_failed = false;
-    for (int q = 0; q < Q; ++q) {
-      PerScenario& s = ps[static_cast<std::size_t>(q)];
-      if (s.sub_ran) {
-        ++out.sub_solves;
-        out.simplex_iterations += s.iters;
-        out.presolve_rows_removed += s.prows;
-        out.presolve_cols_removed += s.pcols;
-        out.pricing_candidates += s.pcand;
-        sub_failed = sub_failed || s.sub_failed;
-        // A worker-side timeout never saw the caller's deadline guards;
-        // replay it so ladder/run accounting matches inline execution.
-        if (s.sub_timeout_uncounted) solver::ScopedSolveDeadline::note_timeout();
-      }
-      for (std::size_t i = 0; i < s.new_cover.size(); ++i) {
-        master.add_constr(s.new_cover[i], solver::Sense::kGe, 0.0);
-        cover_present[static_cast<std::size_t>(q)][s.new_cover_idx[i]] = 1;
-        ++out.cuts_added;
-        appended = true;
-      }
-      if (s.add_cut) {
-        master.add_constr(s.cut, solver::Sense::kGe, s.cut_rhs);
-        ++out.cuts_added;
-        appended = true;
-      }
-    }
-    if (sub_failed) {
-      out.seconds = elapsed();
-      return out;  // all-or-nothing: any sub-LP failure fails Phase I
-    }
-    if (!appended) {
-      converged = true;
-      break;
-    }
-  }
-  out.seconds = elapsed();
-  if (!converged) return out;  // max_rounds backstop hit: not solved
-
-  out.optimal = true;
-  out.winners = pick_winners(input, prepared, *cache, params, alloc, pool);
-
-  static obs::Counter& rounds_total = obs::Registry::global().counter(
-      "arrow_te_decomposition_rounds_total");
-  static obs::Counter& subs_total = obs::Registry::global().counter(
-      "arrow_te_decomposition_sub_solves_total");
-  static obs::Counter& cuts_total = obs::Registry::global().counter(
-      "arrow_te_decomposition_cuts_total");
-  rounds_total.add(static_cast<std::uint64_t>(out.rounds));
-  subs_total.add(static_cast<std::uint64_t>(out.sub_solves));
-  cuts_total.add(static_cast<std::uint64_t>(out.cuts_added));
-  return out;
-}
-
 TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
                        const ArrowParams& params, util::ThreadPool& pool,
                        const RestorabilityCache* cache) {
@@ -1104,7 +796,7 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
     cache = &*local;
   }
 
-  // ---- Phase I (Table 2, monolithic or decomposed) + winner selection -----
+  // ---- Phase I (Table 2) + winner selection --------------------------------
   const Phase1Result p1 = solve_phase1(input, prepared, params, pool, cache);
   if (!p1.optimal) {
     TeSolution sol;
@@ -1114,9 +806,6 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
     sol.presolve_rows_removed = static_cast<int>(p1.presolve_rows_removed);
     sol.presolve_cols_removed = static_cast<int>(p1.presolve_cols_removed);
     sol.pricing_candidates = p1.pricing_candidates;
-    sol.decomposition_rounds = p1.rounds;
-    sol.decomposition_sub_solves = p1.sub_solves;
-    sol.decomposition_cuts = p1.cuts_added;
     return sol;
   }
 
@@ -1128,9 +817,6 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
   sol.presolve_rows_removed += static_cast<int>(p1.presolve_rows_removed);
   sol.presolve_cols_removed += static_cast<int>(p1.presolve_cols_removed);
   sol.pricing_candidates += p1.pricing_candidates;
-  sol.decomposition_rounds = p1.rounds;
-  sol.decomposition_sub_solves = p1.sub_solves;
-  sol.decomposition_cuts = p1.cuts_added;
   return sol;
 }
 

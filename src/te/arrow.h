@@ -23,23 +23,6 @@ class Model;
 
 namespace arrow::te {
 
-// Phase I decomposition knobs (see solve_phase1_decomposed below).
-struct DecompositionParams {
-  // Off: solve_arrow builds the monolithic Table 2 LP. On: Phase I runs as a
-  // coordinating master over the shared allocation with per-scenario slack
-  // sub-LPs priced in parallel — same optimum, but the master only ever
-  // holds the scenario rows that actually bind, which is what scales the
-  // scenario count past what the monolithic model can hold.
-  bool enabled = false;
-  // Master-loop iteration cap. Each round can only add missing rows (a
-  // present row is never violated again), so the loop terminates on its own;
-  // the cap is a backstop against pathological instances.
-  int max_rounds = 64;
-  // A scenario's true penalty may exceed the master's relaxation by this
-  // much (in Gbps of unsupported allocation) without forcing another cut.
-  double tolerance = 1e-7;
-};
-
 struct ArrowParams {
   ticket::TicketParams tickets;   // |Z|, rounding stride, feasibility filter
   optical::RwaOptions rwa;        // surrogate-path search configuration
@@ -53,9 +36,6 @@ struct ArrowParams {
   // adding the floor plan is a strict improvement (ARROW then never does
   // worse than ARROW-Naive). Disable for paper-faithful Fig. 14 runs.
   bool include_naive_candidate = true;
-  // Phase I decomposition (default off; sweep output on the seed corpus is
-  // byte-identical either way — see tests/decomposition_test.cc).
-  DecompositionParams decomposition;
 };
 
 // Offline artifacts, reusable across TE runs while the IP/optical mapping is
@@ -153,50 +133,26 @@ TeSolution solve_arrow(const TeInput& input, const ArrowPrepared& prepared,
 // ---- Phase I entry points --------------------------------------------------
 
 // Phase I alone: the shared allocation plus the winning ticket per scenario
-// (-1 = naive RWA-floor plan), without paying for Phase II. Telemetry sums
-// over every LP attempt the path made (the decomposed path's master rounds
-// and per-scenario sub-LPs included).
+// (-1 = naive RWA-floor plan), without paying for Phase II.
 struct Phase1Result {
   bool optimal = false;
-  bool decomposed = false;   // which path produced this result
   std::vector<int> winners;  // per scenario (empty when !optimal)
-  double objective = 0.0;    // Phase I LP objective (master's at convergence)
+  double objective = 0.0;    // Phase I LP objective
   double seconds = 0.0;
   long long simplex_iterations = 0;
   long long presolve_rows_removed = 0;
   long long presolve_cols_removed = 0;
   long long pricing_candidates = 0;
-  // Decomposed path only (0 on the monolithic path):
-  int rounds = 0;      // master solves performed
-  int sub_solves = 0;  // per-scenario sub-LP solves performed
-  int cuts_added = 0;  // lazily activated cover rows + optimality cuts
+  // Always 0. They counted the master rounds and sub-LP solves of the Phase I
+  // decomposition, which was removed: Phase I is one LP. They remain because
+  // perfbench reports them as te.phase1.rounds and te.phase1.sub_solves.
+  int rounds = 0;
+  int sub_solves = 0;
 };
 
-// Dispatches on params.decomposition.enabled.
 Phase1Result solve_phase1(const TeInput& input, const ArrowPrepared& prepared,
                           const ArrowParams& params, util::ThreadPool& pool,
                           const RestorabilityCache* cache = nullptr);
-
-// The decomposition solve (Benders-style price-and-cut). The master LP holds
-// the shared allocation variables, one penalty variable theta_q per scenario,
-// and only the scenario rows proven necessary so far. Each round solves the
-// master, then fans per-scenario pricing out on `pool`: closed-form link
-// loads from the master allocation decide which cover rows are violated and
-// how far theta_q undershoots the scenario's true penalty, while a genuine
-// per-scenario sub-LP (warm-started from a ScopedWarmStartCache entry tagged
-// by scenario id, chained across sweep scales and controller ticks via
-// BasisStore) supplies the telemetry and failure signal. Violated rows and
-// optimality cuts are appended serially in scenario order; the loop ends
-// when no row is missing. All control flow is a pure function of master
-// solutions computed on the calling thread, so the trajectory — and the
-// final allocation — is bit-identical at any thread count. Any non-optimal
-// master or sub-LP solve fails the whole Phase I (optimal = false), the
-// same all-or-nothing contract as the monolithic solve.
-Phase1Result solve_phase1_decomposed(const TeInput& input,
-                                     const ArrowPrepared& prepared,
-                                     const ArrowParams& params,
-                                     util::ThreadPool& pool,
-                                     const RestorabilityCache* cache = nullptr);
 
 // Order-independent Phase I winner selection for one scenario (exposed for
 // the tie-break regression tests). Two-pass set rule over the candidates'
@@ -216,9 +172,9 @@ int select_phase1_winner(const std::vector<double>& slack_totals,
 // computed in closed form from an allocation a[f][ti] (union-restorable
 // tunnels only, fixed summation order). At a Phase I optimum the LP's slack
 // variables equal exactly this (dp = max(0, load - r) under the ReLU
-// penalty), so both Phase I paths share it for winner selection — making
-// the winners a pure function of the allocation, not of which path (or
-// which degenerate slack vertex) produced it.
+// penalty), so winner selection uses it — making the winners a pure
+// function of the allocation, not of which degenerate slack vertex the LP
+// stopped at.
 std::vector<double> phase1_slack_totals(
     const TeInput& input, const ArrowPrepared& prepared,
     const RestorabilityCache& cache, int q,

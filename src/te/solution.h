@@ -21,20 +21,11 @@ struct TeSolution {
   int bb_nodes_hint = 0;        // branch-and-bound nodes (ILP schemes only)
 
   // Solver-internals telemetry (summed across EVERY solve behind this
-  // solution — Phase I master rounds, per-scenario sub-LPs, Phase II):
-  // presolve reductions applied and the number of columns the pricing step
-  // actually examined.
+  // solution — Phase I and Phase II): presolve reductions applied and the
+  // number of columns the pricing step actually examined.
   int presolve_rows_removed = 0;
   int presolve_cols_removed = 0;
   long long pricing_candidates = 0;
-
-  // Phase I decomposition accounting (all zero when the monolithic path
-  // ran): master-loop rounds, per-scenario sub-LP solves performed, and
-  // rows generated lazily into the master (activated cover rows +
-  // optimality cuts).
-  int decomposition_rounds = 0;
-  int decomposition_sub_solves = 0;
-  int decomposition_cuts = 0;
 
   std::vector<double> admitted;              // b_f per flow (if modelled)
   std::vector<std::vector<double>> alloc;    // a_{f,t} Gbps per flow, tunnel

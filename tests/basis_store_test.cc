@@ -357,46 +357,41 @@ TEST(BasisStoreDisk, EverySingleByteFlipIsRejected) {
   }
 }
 
-// Same-shaped entries under different tags (the decomposition's per-scenario
-// sub-LP bases) are distinct keys end-to-end: store/load, seed/absorb, and
-// the v2 disk format all carry the tag.
-TEST(BasisStoreDisk, TagDistinguishesSameShapedEntries) {
+// A v2 file (the previous format: a u64 tag after cols in every entry) is
+// a different version, so even with a valid checksum and well-formed
+// entries it is rejected and the store keeps exactly what it held.
+TEST(BasisStoreDisk, VersionTwoFileIsRejectedWithTheStoreUntouched) {
+  std::string buf = "ARBS";
+  const auto put = [&buf](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put(2, 4);   // version
+  put(1, 8);   // entry count
+  put(11, 8);  // topo_hash
+  put(22, 8);  // scenario_hash
+  put(3, 4);   // rows
+  put(7, 4);   // cols
+  put(9, 8);   // v2 tag
+  put(7, 8);   // status count
+  for (int i = 0; i < 7; ++i) buf.push_back(0);  // kBasic
+  put(0, 8);   // checksum slot
+  refresh_checksum(buf);
+  const std::string path = scratch_file("basis_v2.bin");
+  write_all(path, buf);
+
   BasisStore store;
-  store.store({3, 4, 5, 12, 0}, make_basis(12, BasisStatus::kBasic));
-  store.store({3, 4, 5, 12, 9}, make_basis(12, BasisStatus::kNonbasicUpper));
-  EXPECT_EQ(store.size(), 2u);
-  Basis out;
-  ASSERT_TRUE(store.load({3, 4, 5, 12, 9}, &out));
-  EXPECT_EQ(out.num_basic(), 0);
-  ASSERT_TRUE(store.load({3, 4, 5, 12, 0}, &out));
-  EXPECT_EQ(out.num_basic(), 12);
-  EXPECT_FALSE(store.load({3, 4, 5, 12, 8}, &out));
-
-  // seed copies the tag into the cache key; absorb copies it back out.
-  ScopedWarmStartCache cache;
-  EXPECT_EQ(store.seed(3, 4, cache), 2);
-  EXPECT_EQ(cache.entries().count({5, 12, 0}), 1u);
-  EXPECT_EQ(cache.entries().count({5, 12, 9}), 1u);
-  BasisStore other;
-  EXPECT_EQ(other.absorb(3, 4, cache), 2);
-  ASSERT_TRUE(other.load({3, 4, 5, 12, 9}, &out));
-  EXPECT_EQ(out.status.size(), 12u);
-
-  // Disk round-trip (v2 layout carries the tag per entry).
-  const std::string path = scratch_file("basis_tagged.bin");
-  ASSERT_TRUE(store.save(path));
-  BasisStore loaded;
-  ASSERT_TRUE(loaded.load(path));
-  EXPECT_EQ(loaded.size(), 2u);
-  ASSERT_TRUE(loaded.load({3, 4, 5, 12, 9}, &out));
-  EXPECT_EQ(out.status, make_basis(12, BasisStatus::kNonbasicUpper).status);
+  fill_disk_fixture(store);
+  EXPECT_FALSE(store.load(path));
+  expect_fixture_contents(store);
 }
 
 TEST(BasisStoreDisk, FutureVersionIsRejectedEvenWithAValidChecksum) {
   const std::string path = scratch_file("basis_version.bin");
   ASSERT_TRUE(save_disk_fixture(path));
   std::string buf = read_all(path);
-  buf[4] = 3;  // version field (little-endian u32 at offset 4)
+  buf[4] = 4;  // version field (little-endian u32 at offset 4)
   refresh_checksum(buf);
   write_all(path, buf);
   BasisStore store;
@@ -408,8 +403,8 @@ TEST(BasisStoreDisk, GarbageStatusByteIsRejectedEvenWithAValidChecksum) {
   const std::string path = scratch_file("basis_status.bin");
   ASSERT_TRUE(save_disk_fixture(path));
   std::string buf = read_all(path);
-  // First status byte: magic(4) + version(4) + count(8) + key(32) + n(8).
-  const std::size_t status_at = 4 + 4 + 8 + 32 + 8;
+  // First status byte: magic(4) + version(4) + count(8) + key(24) + n(8).
+  const std::size_t status_at = 4 + 4 + 8 + 24 + 8;
   ASSERT_LT(status_at, buf.size() - 8);
   buf[status_at] = 7;  // > kNonbasicFree
   refresh_checksum(buf);

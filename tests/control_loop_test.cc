@@ -231,7 +231,7 @@ TEST(ControlLoopStore, SiblingBasisEntriesSurviveTheDrain) {
   ctrl::ControllerConfig config = pin_config();
   config.scheme = "FFC-1";
   config.basis_dir = dir;
-  const solver::BasisStore::Key sibling_key{0xdeadULL, 0xbeefULL, 3, 3, 0};
+  const solver::BasisStore::Key sibling_key{0xdeadULL, 0xbeefULL, 3, 3};
   bool sibling_saved = false;
   config.cancel = [&] {
     if (!sibling_saved) {

@@ -329,9 +329,6 @@ obs::RunReport sample_report() {
   r.presolve_rows_removed = 321;
   r.presolve_cols_removed = 654;
   r.pricing_candidates = 98765;
-  r.decomposition_rounds = 7;
-  r.decomposition_sub_solves = 88;
-  r.decomposition_cuts = 13;
   r.warm_start_hits = 6;
   r.warm_start_stores = 9;
   r.basis_seeded = 2;
@@ -372,9 +369,6 @@ TEST(RunReport, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(out.presolve_rows_removed, in.presolve_rows_removed);
   EXPECT_EQ(out.presolve_cols_removed, in.presolve_cols_removed);
   EXPECT_EQ(out.pricing_candidates, in.pricing_candidates);
-  EXPECT_EQ(out.decomposition_rounds, in.decomposition_rounds);
-  EXPECT_EQ(out.decomposition_sub_solves, in.decomposition_sub_solves);
-  EXPECT_EQ(out.decomposition_cuts, in.decomposition_cuts);
   EXPECT_EQ(out.warm_start_hits, in.warm_start_hits);
   EXPECT_EQ(out.warm_start_stores, in.warm_start_stores);
   EXPECT_EQ(out.basis_seeded, in.basis_seeded);

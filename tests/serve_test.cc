@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -22,6 +23,7 @@
 
 #include "controller/journal.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "resilience/chaos.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
@@ -422,6 +424,78 @@ TEST(ServeSocket, TickCutQueryShutdownOverUnixSocket) {
   ::close(fd);
   EXPECT_TRUE(engine.drained());
   EXPECT_EQ(engine.report().te_runs, 1);
+}
+
+// A client that never sends '\n' must not grow the daemon's input buffer
+// without bound: past kMaxRequestLineBytes it gets one error line and the
+// connection closes, while other clients keep being served.
+TEST(ServeSocket, OversizedLineIsRejectedAndOnlyThatClientIsClosed) {
+  const std::string dir = temp_dir("arrow_serve_oversize");
+  const std::string sock = dir + "/daemon.sock";
+  const std::string topo_path = dir + "/net.topo";
+  topo::save_network_file(test_net(), topo_path);
+  const std::string tm_path = dir + "/traffic.tm";
+  topo::save_traffic_file(test_tm(test_net(), 7), tm_path);
+
+  serve::TickEngine engine(test_config());
+  serve::ServerConfig sc;
+  sc.unix_path = sock;
+  serve::Server server(engine, sc);
+  ASSERT_TRUE(server.start()) << server.error();
+  // Stops and joins the loop on every exit path, a failed ASSERT included.
+  struct Loop {
+    serve::Server& server;
+    std::thread thread;
+    ~Loop() {
+      server.request_stop();
+      thread.join();
+    }
+  } loop{server, std::thread([&server] { server.run(); })};
+  obs::Counter& rejected =
+      obs::Registry::global().counter("arrow_serve_rejected_lines_total");
+  const std::uint64_t rejected_before = rejected.value();
+
+  const int bad = connect_unix(sock);
+  ASSERT_GE(bad, 0);
+  // A daemon without the cap never answers: fail on a timeout, not a hang.
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ::setsockopt(bad, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  // 2x the cap, no newline. The daemon closes the connection part way
+  // through, so a send may fail (EPIPE/ECONNRESET); that ends the flood.
+  const std::string chunk(64 * 1024, 'x');
+  std::size_t sent = 0;
+  while (sent < 2 * serve::kMaxRequestLineBytes) {
+    const ssize_t n = ::send(bad, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_GT(sent, serve::kMaxRequestLineBytes);
+  std::string reply;
+  char ch = 0;
+  while (::recv(bad, &ch, 1, 0) == 1 && ch != '\n') reply.push_back(ch);
+  obs::JsonValue v;
+  ASSERT_TRUE(obs::json_parse(reply, &v)) << reply;
+  EXPECT_FALSE(v.find("ok")->boolean);
+  EXPECT_NE(v.text("error").find("exceeds"), std::string::npos) << reply;
+  // Closed: end of stream (or a reset) follows the one error line.
+  EXPECT_LE(::recv(bad, &ch, 1, 0), 0);
+  ::close(bad);
+  EXPECT_EQ(rejected.value(), rejected_before + 1);
+
+  const int good = connect_unix(sock);
+  ASSERT_GE(good, 0);
+  ASSERT_TRUE(obs::json_parse(
+      round_trip(good, "{\"op\": \"topology\", \"path\": \"" + topo_path +
+                           "\"}"),
+      &v));
+  ASSERT_TRUE(v.find("ok")->boolean) << v.text("error");
+  ASSERT_TRUE(obs::json_parse(
+      round_trip(good, "{\"op\": \"tick\", \"path\": \"" + tm_path + "\"}"),
+      &v));
+  ASSERT_TRUE(v.find("ok")->boolean) << v.text("error");
+  EXPECT_EQ(v.find("tick")->number, 1.0);
+  ::close(good);
 }
 
 // --- SIGTERM drain drill -----------------------------------------------------

@@ -137,8 +137,7 @@ int shared_store_child(const std::string& path, std::uint64_t base) {
   solver::BasisStore store;
   for (int i = 0; i < kChildRounds; ++i) {
     const int cols = 4 + i;
-    store.store({base, 1, static_cast<std::uint64_t>(100 + i),
-                 static_cast<std::uint64_t>(cols)},
+    store.store({base, 1, 100 + i, cols},
                 make_basis(cols, solver::BasisStatus::kBasic));
     if (!store.save_shared(path)) return 3;
   }
@@ -172,9 +171,7 @@ TEST(SharedStoreChaos, TwoProcessesSavingConcurrentlyLoseNothing) {
   solver::Basis out;
   for (std::uint64_t base : {std::uint64_t{1}, std::uint64_t{2}}) {
     for (int i = 0; i < kChildRounds; ++i) {
-      EXPECT_TRUE(merged.load({base, 1, static_cast<std::uint64_t>(100 + i),
-                               static_cast<std::uint64_t>(4 + i)},
-                              &out))
+      EXPECT_TRUE(merged.load({base, 1, 100 + i, 4 + i}, &out))
           << "lost entry " << i << " of child " << base;
     }
   }

@@ -1,8 +1,10 @@
 // Tests for the TE family: common input construction, ECMP, the
 // max-throughput LP, FFC-k, TeaVaR, and ARROW's two-phase formulation
-// (including the exact binary-ILP cross-check on small instances).
+// (including the exact binary-ILP cross-check on small instances and the
+// order-independent Phase I winner selection).
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/availability.h"
+#include "solver/lp.h"
 #include "te/arrow.h"
 #include "te/basic.h"
 #include "te/ffc.h"
@@ -17,6 +20,8 @@
 #include "te/teavar.h"
 #include "topo/builders.h"
 #include "traffic/traffic.h"
+#include "util/parallel.h"
+#include "util/rng.h"
 
 namespace arrow::te {
 namespace {
@@ -467,6 +472,131 @@ TEST_F(ArrowFixture, RestoredMapMatchesWinnerTicket) {
           sol.restored[static_cast<std::size_t>(q)].find(ts.failed_links[li]);
       ASSERT_NE(it, sol.restored[static_cast<std::size_t>(q)].end());
       EXPECT_NEAR(it->second, ticket.gbps[li], 1e-9);
+    }
+  }
+}
+
+TEST_F(ArrowFixture, TelemetryTotalsEqualTheSumOverEveryLpAttempt) {
+  util::ThreadPool pool(1);  // inline: the observer sees every solve_lp
+  const RestorabilityCache cache(*input_, prepared_, pool);
+
+  long long iterations = 0, presolve_rows = 0, presolve_cols = 0, pricing = 0;
+  int solves = 0;
+  TeSolution sol;
+  {
+    solver::ScopedSolveObserver observer(
+        [&](const solver::Lp&, solver::LpSolution& solution) {
+          ++solves;
+          iterations += solution.iterations;
+          presolve_rows += solution.presolve_rows_removed;
+          presolve_cols += solution.presolve_cols_removed;
+          pricing += solution.pricing_candidates;
+        });
+    sol = solve_arrow(*input_, prepared_, params_, pool, &cache);
+  }
+  ASSERT_TRUE(sol.optimal);
+  // Phase I + Phase II, and nothing else: the totals the solution reports
+  // are the exact sum of what the solver returned per attempt — not
+  // approximately, exactly.
+  EXPECT_EQ(static_cast<long long>(sol.simplex_iterations), iterations);
+  EXPECT_EQ(static_cast<long long>(sol.presolve_rows_removed), presolve_rows);
+  EXPECT_EQ(static_cast<long long>(sol.presolve_cols_removed), presolve_cols);
+  EXPECT_EQ(sol.pricing_candidates, pricing);
+  EXPECT_EQ(solves, 2);
+}
+
+// ---- select_phase1_winner: the order-dependence regression ----------------
+
+TEST(WinnerSelection, NonTransitiveSlackChainIsResolvedSetWise) {
+  // The chain that broke the old incumbent scan: adjacent slacks are within
+  // the 1e-9 tie tolerance but the endpoints are not. Scanning forward the
+  // incumbent walked 0 -> 1 -> 2 and crowned candidate 2, whose slack is
+  // OUTSIDE the true tie set around the minimum. The set-wise rule fixes the
+  // tie set {0, 1} first and only then maximizes restored capacity.
+  const std::vector<double> slack = {0.0, 0.9e-9, 1.8e-9};
+  const std::vector<double> gbps = {1.0, 2.0, 3.0};
+  const std::vector<double> budget = {100.0, 100.0, 100.0};
+  EXPECT_EQ(te::select_phase1_winner(slack, gbps, budget), 1);
+
+  // Reversed candidate order must pick the same candidate (now at index 1 by
+  // symmetry: slack 0.9e-9, gbps 2).
+  const std::vector<double> rslack = {1.8e-9, 0.9e-9, 0.0};
+  const std::vector<double> rgbps = {3.0, 2.0, 1.0};
+  const int rwin = te::select_phase1_winner(rslack, rgbps, budget);
+  ASSERT_GE(rwin, 0);
+  EXPECT_EQ(rslack[static_cast<std::size_t>(rwin)], 0.9e-9);
+  EXPECT_EQ(rgbps[static_cast<std::size_t>(rwin)], 2.0);
+}
+
+TEST(WinnerSelection, BudgetRestrictsTheCandidateSetWhenAnyoneIsInside) {
+  // Candidate 0 blows its budget; candidate 1 is inside. The in-budget set
+  // wins even though 0 has strictly less slack.
+  EXPECT_EQ(te::select_phase1_winner({1.0, 2.0}, {9.0, 1.0}, {0.5, 3.0}), 1);
+  // Nobody in budget: fall back to the full set, minimum slack wins.
+  EXPECT_EQ(te::select_phase1_winner({1.0, 2.0}, {9.0, 1.0}, {0.1, 0.1}), 0);
+  EXPECT_EQ(te::select_phase1_winner({}, {}, {}), -1);
+}
+
+TEST(WinnerSelection, ExactDuplicateOfTheWinnerNeverStealsTheSlot) {
+  const std::vector<double> slack = {3.0, 1.0, 2.0};
+  const std::vector<double> gbps = {5.0, 7.0, 6.0};
+  const std::vector<double> budget = {10.0, 10.0, 10.0};
+  const int base = te::select_phase1_winner(slack, gbps, budget);
+  ASSERT_EQ(base, 1);
+  // Append a byte-for-byte copy of the winner: exact ties break toward the
+  // lowest index, so the original keeps the slot at every thread count and
+  // candidate order.
+  std::vector<double> slack2 = slack, gbps2 = gbps, budget2 = budget;
+  slack2.push_back(slack[1]);
+  gbps2.push_back(gbps[1]);
+  budget2.push_back(budget[1]);
+  EXPECT_EQ(te::select_phase1_winner(slack2, gbps2, budget2), base);
+}
+
+TEST(WinnerSelection, RandomizedSetInvariantsHold) {
+  util::Rng rng(1234);
+  for (int trial = 0; trial < 500; ++trial) {
+    const int n = 1 + static_cast<int>(rng.next_u64() % 8);
+    std::vector<double> slack, gbps, budget;
+    for (int i = 0; i < n; ++i) {
+      // Mix exact ties and near-ties into the slack values.
+      const double s = rng.bernoulli(0.3)
+                           ? 0.5e-9 * static_cast<double>(rng.next_u64() % 4)
+                           : rng.uniform(0.0, 2.0);
+      slack.push_back(s);
+      gbps.push_back(rng.uniform(0.0, 10.0));
+      budget.push_back(rng.uniform(0.0, 2.0));
+    }
+    const int w = te::select_phase1_winner(slack, gbps, budget);
+    ASSERT_GE(w, 0);
+    ASSERT_LT(w, n);
+    // The candidate set the rule restricted itself to.
+    bool any_in_budget = false;
+    for (int i = 0; i < n; ++i) {
+      any_in_budget = any_in_budget || slack[static_cast<std::size_t>(i)] <=
+                                           budget[static_cast<std::size_t>(i)];
+    }
+    auto in_set = [&](int i) {
+      return !any_in_budget || slack[static_cast<std::size_t>(i)] <=
+                                   budget[static_cast<std::size_t>(i)];
+    };
+    ASSERT_TRUE(in_set(w)) << "trial " << trial;
+    double min_slack = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < n; ++i) {
+      if (in_set(i)) {
+        min_slack = std::min(min_slack, slack[static_cast<std::size_t>(i)]);
+      }
+    }
+    // Winner sits inside the tie window of the set minimum...
+    EXPECT_LE(slack[static_cast<std::size_t>(w)], min_slack + 1e-9)
+        << "trial " << trial;
+    // ...and no tie-set member strictly beats its restored capacity.
+    for (int i = 0; i < n; ++i) {
+      if (in_set(i) && slack[static_cast<std::size_t>(i)] <= min_slack + 1e-9) {
+        EXPECT_LE(gbps[static_cast<std::size_t>(i)],
+                  gbps[static_cast<std::size_t>(w)] + 1e-9)
+            << "trial " << trial << " candidate " << i;
+      }
     }
   }
 }
